@@ -345,7 +345,10 @@ def main(argv=None) -> int:
             label, g = _family_graph_from_args(args)
             Path(args.out).write_text(export_ilp(g, args.k, args.p))
             print(f"wrote LP for {label} (k={args.k}) to {args.out}")
-    except (ConfigError, netgraph.ParseError, ValueError, OSError) as exc:
+    # RuntimeError covers a solver that gave up (dynamics not converging, a
+    # failed stabilize repair) and RecursionError.
+    except (ConfigError, netgraph.ParseError, ValueError, OSError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

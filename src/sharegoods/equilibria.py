@@ -13,7 +13,7 @@ from . import game
 from .dynamics import best_response_dynamics, derive_seed
 from .game import SGG, SGG_AC, GameConfig
 from .netgraph import Graph
-from .optimum import min_dominating_exact
+from .optimum import cover_masks, min_dominating_exact
 
 DEFAULT_MAX_N_SGG = 20
 DEFAULT_MAX_N_SGGAC = 16
@@ -94,6 +94,40 @@ class _MaxFlow:
                 flow += pushed
 
 
+def _dominating_owner_sets(cov: list[int], admit) -> list[int]:
+    """Every distance-k dominating owner set, as a bitmask, that admit lets
+    through, given the closed k-ball masks cov.
+
+    Nodes are decided in id order. Excluding node i is cut when some node
+    whose highest-id potential dominator is i is still undominated.
+    admit(i, chosen) is asked when i joins the bitmask chosen (which then
+    holds i); a False cuts every set that extends chosen, so admit may
+    reject only when no such set can qualify.
+    """
+    n = len(cov)
+    due = [0] * n
+    for u in range(n):
+        due[cov[u].bit_length() - 1] |= 1 << u
+    masks: list[int] = []
+
+    def rec(i: int, chosen: int, dominated: int) -> None:
+        if i == n:
+            masks.append(chosen)
+            return
+        with_i = chosen | 1 << i
+        if admit(i, with_i):
+            rec(i + 1, with_i, dominated | cov[i])
+        if dominated & due[i] == due[i]:
+            rec(i + 1, chosen, dominated)
+
+    rec(0, 0, 0)
+    return masks
+
+
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
 def enumerate_ne_owner_sets_sgg(g: Graph, k: int,
                                 max_n: int = DEFAULT_MAX_N_SGG) -> list[frozenset]:
     """All k-independent dominating sets, by pruned backtracking over nodes.
@@ -101,39 +135,47 @@ def enumerate_ne_owner_sets_sgg(g: Graph, k: int,
     Prunes branches that violate independence and branches where some node
     can no longer be dominated by any undecided candidate.
     """
-    n = g.n
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds max_n={max_n}")
-    nbhd = g.closed_neighborhoods(k)
-    cov = []
-    for nb in nbhd:
-        m = 0
-        for j in nb:
-            m |= 1 << j
-        cov.append(m)
-    full = (1 << n) - 1
-    # Nodes whose last potential dominator is i: must be dominated once the
-    # decision on i has been made.
-    due_at: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        due_at[max(nbhd[u])].append(u)
-
-    results: list[frozenset] = []
-
-    def rec(i: int, chosen: tuple, dominated: int, blocked: int) -> None:
-        if i == n:
-            if dominated == full:
-                results.append(frozenset(chosen))
-            return
-        if not (blocked >> i) & 1:
-            # Including i dominates every node whose candidates end at i.
-            rec(i + 1, chosen + (i,), dominated | cov[i], blocked | cov[i])
-        if all((dominated >> u) & 1 for u in due_at[i]):
-            rec(i + 1, chosen, dominated, blocked)
-
-    rec(0, (), 0, 0)
+    if g.n > max_n:
+        raise ValueError(f"n={g.n} exceeds max_n={max_n}")
+    cov = cover_masks(g, k)
+    # Distances are symmetric: i is k-independent of the chosen owners iff
+    # none lies in i's own ball.
+    masks = _dominating_owner_sets(
+        cov, lambda i, chosen: cov[i] & chosen == 1 << i)
+    results = [frozenset(_members(m)) for m in masks]
     results.sort(key=lambda s: (len(s), sorted(s)))
     return results
+
+
+def _sggac_ne_masks(g: Graph, k: int, xi: int) -> list[int]:
+    """Owner sets of all SGG-AC equilibria, as bitmasks.
+
+    Candidates are the dominating sets that pass a follower-capacity prune;
+    max-flow feasibility decides each one. An owner is contested when
+    another owner lies within k hops. Every contested owner needs xi
+    followers among the non-owners of its closed k-ball, and the contested
+    owners together need xi times their number of non-owners. Adding
+    owners only shrinks the non-owners and grows the contested set, so a
+    set failing either test has no feasible superset.
+    """
+    n = g.n
+    cov = cover_masks(g, k)
+
+    def capacity_ok(i: int, chosen: int) -> bool:
+        contested = 0
+        m = chosen
+        while m:
+            low = m & -m
+            m ^= low
+            ball = cov[low.bit_length() - 1]
+            if ball & chosen != low:
+                if (ball & ~chosen).bit_count() < xi:
+                    return False
+                contested += 1
+        return xi * contested <= n - chosen.bit_count()
+
+    return [m for m in _dominating_owner_sets(cov, capacity_ok)
+            if sggac_owner_set_feasible(g, k, xi, set(_members(m)))]
 
 
 def sggac_witness_profile(g: Graph, k: int, xi: int,
@@ -198,15 +240,15 @@ def exact_efficiency(g: Graph, cfg: GameConfig,
         max_n = DEFAULT_MAX_N_SGG if cfg.variant == SGG else DEFAULT_MAX_N_SGGAC
     if g.n > max_n:
         raise ValueError(f"n={g.n} exceeds max_n={max_n}")
+    if g.n == 0:
+        raise ValueError("exact_efficiency needs a graph with at least one "
+                         "node")
     opt = min_dominating_exact(g, cfg.k, p=cfg.p)
     if cfg.variant == SGG:
         sizes = [len(s) for s in enumerate_ne_owner_sets_sgg(g, cfg.k, max_n)]
     else:
-        sizes = []
-        for mask in range(1, 1 << g.n):
-            owner_set = {i for i in range(g.n) if (mask >> i) & 1}
-            if sggac_owner_set_feasible(g, cfg.k, cfg.xi, owner_set):
-                sizes.append(len(owner_set))
+        # Bitmasks: thousands of frozensets would cost megabytes.
+        sizes = [m.bit_count() for m in _sggac_ne_masks(g, cfg.k, cfg.xi)]
     worst = cfg.p * max(sizes)
     best = cfg.p * min(sizes)
     return EfficiencyReport(opt_cost=opt.cost, worst_ne_cost=worst,

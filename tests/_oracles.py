@@ -72,6 +72,28 @@ def brute_force_sggac_ne_exists(g: Graph, cfg: GameConfig,
     return False
 
 
+def brute_force_sggac_ne_owner_sets(g: Graph,
+                                    cfg: GameConfig) -> set[frozenset]:
+    """Owner sets of all SGG-AC Nash profiles: every one of the 2^n - 1
+    non-empty owner sets, each checked by brute_force_sggac_ne_exists."""
+    out = set()
+    for mask in range(1, 1 << g.n):
+        owner_set = {i for i in range(g.n) if (mask >> i) & 1}
+        if brute_force_sggac_ne_exists(g, cfg, owner_set):
+            out.add(frozenset(owner_set))
+    return out
+
+
+def disjoint_union(*graphs: Graph, isolated: int = 0) -> Graph:
+    """The graphs side by side, ids shifted in order, then isolated nodes."""
+    edges = []
+    offset = 0
+    for h in graphs:
+        edges.extend((u + offset, v + offset) for u, v in h.edges)
+        offset += h.n
+    return Graph(offset + isolated, edges)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]

@@ -157,6 +157,51 @@ class TestConfigFile:
         assert "error:" in capsys.readouterr().err
 
 
+class TestErrors:
+    """Failures end as one `error:` line on stderr and exit code 2."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", ["variant = SGG\n",
+                                         "variant = SGG-AC\nxi = 1\n"])
+    def test_exact_efficiency_empty_graph(self, tmp_path, capsys, variant):
+        edges = tmp_path / "empty.edges"
+        edges.write_text("# no edges\n")
+        cfg_path = tmp_path / "empty.conf"
+        cfg_path.write_text(f"edge_list = {edges}\n{variant}"
+                            "analyses = exact_efficiency\n")
+        assert main(["run", str(cfg_path)]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("dynamics did not converge within 3 passes"),
+        RecursionError("maximum recursion depth exceeded"),
+    ])
+    def test_solver_runtime_error(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "empirical_cost_stats", fail)
+        cfg_path = tmp_path / "exp.conf"
+        cfg_path.write_text("family = chain\nn = 5\nruns = 2\n")
+        assert main(["run", str(cfg_path)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_stabilize_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("stabilize repair loop failed to terminate")
+        monkeypatch.setattr(cli, "stabilize", fail)
+        cfg_path = tmp_path / "exp.conf"
+        cfg_path.write_text("family = star\nn = 6\nvariant = SGG-AC\n"
+                            "xi = 2\nanalyses = optimum,stabilize\n"
+                            f"out = {tmp_path / 'out.csv'}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        self.assert_one_error_line(capsys)
+
+
 class TestSubcommands:
     def test_optimum_family(self, capsys):
         assert main(["optimum", "--family", "star", "--n", "50", "--k", "1"]) == 0

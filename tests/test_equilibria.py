@@ -3,10 +3,11 @@ import random
 import pytest
 
 from _oracles import (brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
+                      brute_force_sggac_ne_owner_sets, disjoint_union,
                       random_graph)
 from sharegoods import game
 from sharegoods import netgraph as ng
-from sharegoods.equilibria import (empirical_cost_stats,
+from sharegoods.equilibria import (_sggac_ne_masks, empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
@@ -86,6 +87,31 @@ class TestSggacFeasibility:
                 owner_set = {i for i in range(g.n) if (mask >> i) & 1}
                 assert sggac_owner_set_feasible(g, k, xi, owner_set) == \
                     brute_force_sggac_ne_exists(g, cfg, owner_set)
+
+
+class TestSggacEnumeration:
+    def test_matches_brute_force(self):
+        # Up to 8 nodes in two random parts plus isolated nodes, so most
+        # graphs are disconnected.
+        rng = random.Random(37)
+        for _ in range(20):
+            n1 = rng.randint(1, 8)
+            n2 = rng.randint(0, 8 - n1)
+            g = disjoint_union(random_graph(rng, n1, rng.random() * 0.7),
+                               random_graph(rng, n2, rng.random() * 0.7),
+                               isolated=rng.randint(0, 8 - n1 - n2))
+            for k in (1, 2, 3):
+                for xi in (1, 2, 3, 4):
+                    cfg = GameConfig(SGG_AC, k, xi=xi)
+                    expected = brute_force_sggac_ne_owner_sets(g, cfg)
+                    masks = _sggac_ne_masks(g, k, xi)
+                    assert len(masks) == len(set(masks)) == len(expected)
+                    assert {frozenset(i for i in range(g.n) if m >> i & 1)
+                            for m in masks} == expected
+                    sizes = [len(s) for s in expected]
+                    report = exact_efficiency(g, cfg)
+                    assert report.worst_ne_cost == max(sizes)
+                    assert report.best_ne_cost == min(sizes)
 
 
 class TestExactEfficiency:

@@ -1,6 +1,6 @@
 import random
 
-from _oracles import exhaustive_min_dominating, random_graph
+from _oracles import disjoint_union, exhaustive_min_dominating, random_graph
 from sharegoods import netgraph as ng
 from sharegoods.game import is_distance_k_dominating
 from sharegoods.optimum import (export_ilp, min_dominating_exact,
@@ -69,6 +69,37 @@ class TestExact:
                 assert min_dominating_exact(ng.center_arms_tree(k, m), k).cost == 1
         for n in (3, 6, 9):
             assert min_dominating_exact(ng.complete(n), 1).cost == 1
+
+
+class TestExactComponents:
+    def test_matches_exhaustive_on_unions(self):
+        rng = random.Random(41)
+        for _ in range(15):
+            parts = [random_graph(rng, rng.randint(1, 5), rng.random() * 0.6)
+                     for _ in range(rng.randint(2, 3))]
+            g = disjoint_union(*parts, isolated=rng.randint(0, 2))
+            for k in (1, 2, 3, 4):
+                r = min_dominating_exact(g, k)
+                assert r.proven_optimal
+                assert len(r.owners) == exhaustive_min_dominating(g, k)
+                assert is_distance_k_dominating(g, k, r.owners)
+
+    def test_two_copies_explore_twice_one(self):
+        one = ng.er_random(30, 0.2, 5)
+        a = min_dominating_exact(one, 1)
+        b = min_dominating_exact(disjoint_union(one, one), 1)
+        assert a.proven_optimal and b.proven_optimal
+        assert b.cost == 2 * a.cost
+        assert b.nodes_explored == 2 * a.nodes_explored
+
+    def test_budget_shared_across_components(self):
+        one = ng.er_random(30, 0.2, 5)
+        g = disjoint_union(one, one, isolated=2)
+        r = min_dominating_exact(g, 1, node_budget=3)
+        assert not r.proven_optimal
+        assert r.nodes_explored <= 4
+        assert is_distance_k_dominating(g, 1, r.owners)
+        assert r.cost == len(r.owners)
 
 
 class TestExportIlp:
