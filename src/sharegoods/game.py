@@ -118,9 +118,18 @@ def utility(g: Graph, cfg: GameConfig, s: Profile, i: int) -> float:
 def is_in_T(g: Graph, cfg: GameConfig, s: Profile) -> bool:
     """True iff every node accesses a good (owns one or reaches an owner)."""
     if cfg.variant == SGG:
+        # Distances are symmetric, so i reaches an owner iff i lies in the
+        # closed k-ball of some owner: mark the owners' balls.
         nbhd = g.closed_neighborhoods(cfg.k)
-        return all(any(s[j] == 1 for j in nbhd[i]) for i in range(g.n))
-    return all(x == i or s[x] == x for i, x in enumerate(s))
+        covered = bytearray(g.n)
+        for o, x in enumerate(s):
+            if x == 1:
+                for j in nbhd[o]:
+                    covered[j] = 1
+        return all(covered)
+    # i has access iff its target s_i is an owner (s_i = i included), so
+    # each distinct target needs checking only once.
+    return all(s[x] == x for x in set(s))
 
 
 def social_cost(g: Graph, cfg: GameConfig, s: Profile) -> float:
@@ -171,9 +180,10 @@ def is_k_independent_dominating(g: Graph, k: int, owner_set: set[int]) -> bool:
 
 def is_distance_k_dominating(g: Graph, k: int, owner_set: set[int]) -> bool:
     """Every node within k hops of some member (no independence demand)."""
+    nbhd = g.closed_neighborhoods(k)
     covered: set[int] = set()
     for o in owner_set:
-        covered.update(g.closed_neighborhoods(k)[o])
+        covered.update(nbhd[o])
     return len(covered) == g.n
 
 

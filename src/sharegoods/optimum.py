@@ -3,13 +3,16 @@ dominating set, plus export of the covering integer program in LP format.
 
 The exact solver is a branch-and-bound over include/exclude decisions with
 bitset coverage masks, run on each connected component separately. The
-upper bound is seeded by the greedy heuristic; the lower bound greedily
-packs pairwise-disjoint closed k-hop balls (any dominator of a packed node
-lies inside its ball, so disjoint balls need distinct dominators).
+upper bound is seeded by the greedy heuristic, a lazy max-heap greedy in
+O(sum |ball| * log n) whose ties go to the lowest id; the lower bound
+greedily packs pairwise-disjoint closed k-hop balls (any dominator of a
+packed node lies inside its ball, so disjoint balls need distinct
+dominators).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .netgraph import Graph, connected_components
@@ -40,20 +43,34 @@ def cover_masks(g: Graph, k: int) -> list[int]:
 
 def min_dominating_greedy(g: Graph, k: int) -> set[int]:
     """Repeatedly add the node covering the most uncovered nodes (ties go to
-    the lowest id) until every node is within k hops of a chosen one."""
-    n = g.n
-    cov = cover_masks(g, k)
-    full = (1 << n) - 1
-    uncovered = full
+    the lowest id) until every node is within k hops of a chosen one.
+
+    Lazy max-heap greedy in O(sum |ball| * log n): gain[v] is kept equal to
+    the number of uncovered nodes in v's ball, and a heap entry whose stored
+    gain is stale is re-queued when it reaches the top. Gains never rise, so
+    a current entry at the top has the maximum gain and the lowest id.
+    """
+    balls = g.closed_neighborhoods(k)
+    gain = [len(b) for b in balls]
+    heap = [(-c, v) for v, c in enumerate(gain)]
+    heapq.heapify(heap)
+    covered = bytearray(g.n)
+    left = g.n
     chosen: set[int] = set()
-    while uncovered:
-        best_v, best_gain = -1, -1
-        for v in range(n):
-            gain = (cov[v] & uncovered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen.add(best_v)
-        uncovered &= ~cov[best_v]
+    while left:
+        neg, v = heap[0]
+        if -neg != gain[v]:
+            heapq.heapreplace(heap, (-gain[v], v))
+            continue
+        heapq.heappop(heap)
+        chosen.add(v)
+        for u in balls[v]:
+            if not covered[u]:
+                covered[u] = 1
+                left -= 1
+                # Balls are symmetric: u lies in exactly the balls of ball(u).
+                for w in balls[u]:
+                    gain[w] -= 1
     return chosen
 
 

@@ -11,15 +11,20 @@ from sharegoods.game import SGG, SGG_AC, GameConfig
 from sharegoods.netgraph import Graph
 
 
-def exhaustive_min_dominating(g: Graph, k: int) -> int:
-    """Minimum distance-k dominating set size by subset enumeration."""
-    n = g.n
-    cov = []
+def _ball_masks(g: Graph, k: int) -> list[int]:
+    masks = []
     for nb in g.closed_neighborhoods(k):
         m = 0
         for j in nb:
             m |= 1 << j
-        cov.append(m)
+        masks.append(m)
+    return masks
+
+
+def exhaustive_min_dominating(g: Graph, k: int) -> int:
+    """Minimum distance-k dominating set size by subset enumeration."""
+    n = g.n
+    cov = _ball_masks(g, k)
     full = (1 << n) - 1
     best = n
     for mask in range(1 << n):
@@ -35,6 +40,25 @@ def exhaustive_min_dominating(g: Graph, k: int) -> int:
         if covered == full:
             best = size
     return best
+
+
+def scan_greedy_dominating(g: Graph, k: int) -> set[int]:
+    """Greedy distance-k domination by a full rescan per pick: add the node
+    covering the most uncovered nodes, ties to the lowest id."""
+    n = g.n
+    cov = _ball_masks(g, k)
+    full = (1 << n) - 1
+    uncovered = full
+    chosen: set[int] = set()
+    while uncovered:
+        best_v, best_gain = -1, -1
+        for v in range(n):
+            gain = (cov[v] & uncovered).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        chosen.add(best_v)
+        uncovered &= ~cov[best_v]
+    return chosen
 
 
 def brute_force_sgg_ne_owner_sets(g: Graph, cfg: GameConfig) -> set[frozenset]:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from _oracles import brute_force_sgg_ne_owner_sets, random_graph
+from _oracles import (brute_force_sgg_ne_owner_sets, disjoint_union,
+                      random_graph)
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.game import (SGG, SGG_AC, GameConfig, VariantError,
@@ -117,6 +118,39 @@ class TestTAndCost:
         g = ng.chain(4)
         cfg = GameConfig(SGG, 1)
         assert social_cost(g, cfg, [1, 1, 1, 1]) == 4 * cfg.p
+
+    def test_matches_definition(self):
+        rng = random.Random(7)
+        seen = set()
+        for trial in range(400):
+            g = disjoint_union(random_graph(rng, rng.randint(0, 12),
+                                            rng.random() * 0.4),
+                               isolated=rng.randint(0, 2))
+            if trial < 2:
+                g = ng.Graph(0, [])
+            k = rng.randint(1, 3)
+            nbhd = g.closed_neighborhoods(k)
+            q = rng.random()
+            if trial % 2:
+                cfg = GameConfig(SGG_AC, k, xi=2)
+                s = [i if rng.random() < q else rng.choice(nbhd[i])
+                     for i in range(g.n)]
+                expected = all(x == i or s[x] == x for i, x in enumerate(s))
+                n_owners = sum(1 for i, x in enumerate(s) if x == i)
+            else:
+                cfg = GameConfig(SGG, k)
+                s = [int(rng.random() < q) for _ in range(g.n)]
+                expected = all(any(s[j] == 1 for j in nbhd[i])
+                               for i in range(g.n))
+                n_owners = sum(s)
+            assert is_in_T(g, cfg, s) == expected
+            seen.add((cfg.variant, expected))
+            if expected:
+                assert social_cost(g, cfg, s) == cfg.p * n_owners
+            else:
+                with pytest.raises(ValueError):
+                    social_cost(g, cfg, s)
+        assert len(seen) == 4
 
 
 class TestBestResponse:

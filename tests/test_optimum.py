@@ -1,6 +1,7 @@
 import random
 
-from _oracles import disjoint_union, exhaustive_min_dominating, random_graph
+from _oracles import (disjoint_union, exhaustive_min_dominating, random_graph,
+                      scan_greedy_dominating)
 from sharegoods import netgraph as ng
 from sharegoods.game import is_distance_k_dominating
 from sharegoods.optimum import (export_ilp, min_dominating_exact,
@@ -25,6 +26,22 @@ class TestGreedy:
             g = random_graph(rng, rng.randint(1, 20), rng.random() * 0.4)
             k = rng.randint(1, 3)
             assert is_distance_k_dominating(g, k, min_dominating_greedy(g, k))
+
+    def test_matches_scan_oracle(self):
+        rng = random.Random(5)
+        for n in range(41):
+            g = random_graph(rng, n, rng.random() * 0.3)
+            if n % 3 == 0:
+                g = disjoint_union(g, random_graph(rng, rng.randint(1, 8), 0.4),
+                                   isolated=rng.randint(0, 3))
+            for k in (1, 2, 3):
+                assert min_dominating_greedy(g, k) == scan_greedy_dominating(g, k)
+        families = [ng.complete(7), ng.chain(23), ng.star(12),
+                    ng.two_center_tree(2, 3), ng.two_center_tree(3, 2),
+                    ng.karate()]
+        for g in families:
+            for k in (1, 2, 3, 4):
+                assert min_dominating_greedy(g, k) == scan_greedy_dominating(g, k)
 
 
 class TestExact:
