@@ -1,0 +1,78 @@
+"""Golden output: sha256 digests of CLI output at small run counts.
+
+The Monte-Carlo rows depend on the exact sequence of RNG calls in the
+dynamics, so a refactor that reorders or adds a draw changes these bytes
+even when every statistical acceptance test still passes. A digest that
+changes on purpose must be re-pinned together with the change that moves
+it, with the reason recorded.
+"""
+
+import hashlib
+
+import pytest
+
+from sharegoods.cli import main
+
+PRESET_DIGESTS = {
+    "table3_karate":
+        "b34b726749161d6eee360576d5d3ebddda61438b57e18107a2db0dee0aa12664",
+    "table4_karate":
+        "b2258a03041312b19ac0cbb32df2f28d27c6f488facaf6e575fb07d21ea1d2c5",
+    "table3_synthetic":
+        "ca4825ed7987a1856ade53853c917c52c3f2d229eb63763ce1d191a4e96b3783",
+}
+
+# Karate, SGG-AC, k=1, xi=5: the repair turns optimum owner 5 into a
+# renter and promotes 16, so the profile pins the repair loop too.
+STABILIZE_CONFIG = """\
+family   = karate
+variant  = SGG-AC
+k        = 1
+xi       = 5
+analyses = optimum,stabilize
+"""
+STABILIZE_PROFILE_DIGEST = \
+    "25e9a3871399342dd66e229af685587f1fd4f39e866ec6fc07d9722feba2cf1c"
+
+EXACT_CONFIG = """\
+family     = er_random
+n          = 12
+prob       = 0.3
+graph_seed = 1
+variant    = SGG-AC
+k          = 1
+xi         = 1,2,3
+analyses   = exact_efficiency
+"""
+EXACT_CSV_DIGEST = \
+    "937bdde207fde753b65dd9043af7818eb6713a57d0b2d6e593294dda7f76fa23"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_preset_csv(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main(["preset", name, "--runs", "20", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == PRESET_DIGESTS[name]
+
+
+def test_stabilize_profile(tmp_path):
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text(STABILIZE_CONFIG + f"out = {tmp_path / 'stab.csv'}\n")
+    assert main(["run", str(cfg)]) == 0
+    profile = tmp_path / "stab_karate_sggac_xi5_k1.stabilized.profile"
+    assert sha256(profile.read_bytes()) == STABILIZE_PROFILE_DIGEST
+
+
+def test_exact_efficiency_csv(tmp_path, capsys):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(EXACT_CONFIG)
+    assert main(["run", str(cfg)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == EXACT_CSV_DIGEST
+    out = tmp_path / "exact.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == EXACT_CSV_DIGEST
