@@ -145,12 +145,16 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     return [compute_row(*t) for t in tasks]
 
 
+def _write_rows(rows: list[dict], fh) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+
+
 def write_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+        _write_rows(rows, fh)
 
 
 TABLE3_XI_GRID = (1, 2, 5, 10, 20)
@@ -323,10 +327,7 @@ def main(argv=None) -> int:
                 write_csv(rows, config.out)
                 print(f"wrote {len(rows)} rows to {config.out}")
             else:
-                writer = csv.writer(sys.stdout, lineterminator="\n")
-                writer.writerow(CSV_COLUMNS)
-                for row in rows:
-                    writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+                _write_rows(rows, sys.stdout)
         elif args.command == "preset":
             configs = presets(args.name, runs=args.runs,
                               master_seed=args.seed, out=args.out)

@@ -1,11 +1,12 @@
-"""Equilibrium-finding procedures: best-response dynamics, a greedy
-constructive equilibrium, and the optimum-repair stabilization for SGG-AC.
+"""Equilibrium-finding procedures: best-response dynamics and the
+optimum-repair stabilization for SGG-AC.
 
 Best-response dynamics starts from the no-buyer profile (SGG) or a random
 assignment (SGG-AC), fixes one random node order, and sweeps nodes letting
-each deviate to a random best response when strictly improving. It provably
-reaches a Nash equilibrium within three sweeps; we count sweeps and fail
-loudly if a fourth would be needed.
+each one that is not playing a best response move to one drawn uniformly
+from `game.State.best_responses`. It provably reaches a Nash equilibrium
+within three sweeps; we count sweeps and fail loudly if a fourth would be
+needed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import game
-from .game import SGG, SGG_AC, MONEY_TOL, GameConfig, Profile
+from .game import SGG, SGG_AC, GameConfig, Profile
 from .netgraph import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -42,121 +43,26 @@ class DynamicsResult:
     case_counts: list[list[int]] = field(default_factory=list)
 
 
-class _State:
-    """Incremental view of a strategy profile: follower counts and the number
-    of owners inside each closed k-hop neighborhood."""
-
-    __slots__ = ("g", "cfg", "nbhd", "s", "flw", "owners_in")
-
-    def __init__(self, g: Graph, cfg: GameConfig, s: Profile):
-        self.g = g
-        self.cfg = cfg
-        self.nbhd = g.closed_neighborhoods(cfg.k)
-        self.s = s
-        n = g.n
-        self.owners_in = [0] * n
-        self.flw = [0] * n
-        for i in range(n):
-            if self._owns(i):
-                for j in self.nbhd[i]:
-                    self.owners_in[j] += 1
-            if cfg.variant == SGG_AC and s[i] != i:
-                self.flw[s[i]] += 1
-
-    def _owns(self, i: int) -> bool:
-        return self.s[i] == 1 if self.cfg.variant == SGG else self.s[i] == i
-
-    def set_strategy(self, i: int, new: int) -> None:
-        old = self.s[i]
-        if old == new:
-            return
-        owned = self._owns(i)
-        self.s[i] = new
-        owns_now = self._owns(i)
-        if owned != owns_now:
-            delta = 1 if owns_now else -1
-            for j in self.nbhd[i]:
-                self.owners_in[j] += delta
-        if self.cfg.variant == SGG_AC:
-            if old != i:
-                self.flw[old] -= 1
-            if new != i:
-                self.flw[new] += 1
-
-    def other_owner_in_range(self, i: int) -> bool:
-        return self.owners_in[i] - (1 if self._owns(i) else 0) >= 1
-
-    def is_nash(self) -> bool:
-        cfg = self.cfg
-        if cfg.variant == SGG:
-            for i in range(self.g.n):
-                if self.s[i] == 1:
-                    if self.owners_in[i] > 1:
-                        return False
-                elif self.owners_in[i] == 0:
-                    return False
-            return True
-        for i in range(self.g.n):
-            if self.s[i] == i:
-                if self.other_owner_in_range(i) and self.flw[i] < cfg.xi:
-                    return False
-            else:
-                t = self.s[i]
-                if self.s[t] != t:
-                    return False
-                if self.flw[i] >= cfg.xi:
-                    return False
-        return True
-
-
-def _sweep(state: _State, order: list[int], rng: random.Random,
+def _sweep(state: game.State, order: list[int], rng: random.Random,
            cases: list[int]) -> int:
     """One pass of the dynamics; returns the number of deviations."""
-    cfg = state.cfg
-    nbhd = state.nbhd
     deviations = 0
     for i in order:
-        if cfg.variant == SGG:
-            owner = state.s[i] == 1
-            others = state.owners_in[i] - (1 if owner else 0)
-            u_cur = cfg.b - cfg.p if owner else (cfg.b if others else 0.0)
-            u_free = cfg.b if others else 0.0
-            u_max = max(cfg.b - cfg.p, u_free)
-            if u_cur >= u_max - MONEY_TOL:
-                continue
-            best = [0] if u_free > cfg.b - cfg.p else [1]
-            new = rng.choice(best)
-        else:
-            owner = state.s[i] == i
-            u_buy = cfg.b - cfg.p + cfg.a * state.flw[i]
-            rent_available = state.other_owner_in_range(i)
-            u_rent = cfg.b - cfg.a if rent_available else float("-inf")
-            if owner:
-                u_cur = u_buy
-            else:
-                t = state.s[i]
-                u_cur = cfg.b - cfg.a if state.s[t] == t else 0.0
-            u_max = max(u_buy, u_rent)
-            if u_cur >= u_max - MONEY_TOL:
-                continue
-            best = []
-            if u_buy >= u_max - MONEY_TOL:
-                best.append(i)
-            if rent_available and u_rent >= u_max - MONEY_TOL:
-                best.extend(j for j in nbhd[i]
-                            if j != i and state.s[j] == j)
-            new = rng.choice(best)
-        buys = (new == 1) if cfg.variant == SGG else (new == i)
-        if owner:
+        best = state.best_responses(i)
+        if best is None:
+            continue
+        owned = state.owns(i)
+        state.set_strategy(i, rng.choice(best))
+        # Buying adds i to its own ball's owner count, so "another owner
+        # in range" reads the same after the move as before it.
+        if owned:
             cases[3] += 1            # owner reverts to free riding / renting
-        elif buys:
-            if state.other_owner_in_range(i):
-                cases[2] += 1        # non-owner buys despite a nearby owner
-            else:
-                cases[0] += 1        # underprivileged node buys
-        else:
+        elif not state.owns(i):
             cases[1] += 1            # underprivileged node starts accessing
-        state.set_strategy(i, new)
+        elif state.other_owner_in_range(i):
+            cases[2] += 1            # non-owner buys despite a nearby owner
+        else:
+            cases[0] += 1            # underprivileged node buys
         deviations += 1
     return deviations
 
@@ -174,7 +80,7 @@ def best_response_dynamics(g: Graph, cfg: GameConfig, seed: int) -> DynamicsResu
             # Isolated nodes have no alternative; buying is the only
             # positive-utility action.
             s.append(rng.choice(options) if options else i)
-    state = _State(g, cfg, s)
+    state = game.State(g, cfg, s)
     order = list(range(g.n))
     rng.shuffle(order)
     passes = 0
@@ -190,31 +96,6 @@ def best_response_dynamics(g: Graph, cfg: GameConfig, seed: int) -> DynamicsResu
     return DynamicsResult(profile=state.s, passes=passes,
                           deviations=deviations, seed=seed,
                           case_counts=case_counts)
-
-
-def greedy_ne(g: Graph, cfg: GameConfig, pick_rule: str = "lowest_id",
-              seed: int | None = None) -> Profile:
-    """Constructive equilibrium: repeatedly pick a remaining node, make it an
-    owner, attach all remaining nodes within k hops, and remove them."""
-    if pick_rule not in ("lowest_id", "random"):
-        raise ValueError(f"unknown pick_rule {pick_rule!r}")
-    rng = random.Random(seed) if pick_rule == "random" else None
-    nbhd = g.closed_neighborhoods(cfg.k)
-    remaining = set(range(g.n))
-    s: list[int] = [0] * g.n if cfg.variant == SGG else [-1] * g.n
-    while remaining:
-        if pick_rule == "lowest_id":
-            i = min(remaining)
-        else:
-            i = rng.choice(sorted(remaining))
-        s[i] = 1 if cfg.variant == SGG else i
-        for j in nbhd[i]:
-            if j != i and j in remaining:
-                if cfg.variant == SGG_AC:
-                    s[j] = i
-                remaining.discard(j)
-        remaining.discard(i)
-    return s
 
 
 def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:

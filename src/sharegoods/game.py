@@ -1,11 +1,15 @@
-"""Game semantics for shareable-goods games: configurations, utilities,
-Nash-equilibrium predicates, and social cost.
+"""Game semantics for shareable-goods games: configurations, the
+best-response rule, Nash equilibria, and social cost.
 
 Two variants are supported. In the basic game (SGG) a node either buys
 (s_i = 1) or not (s_i = 0), and anyone within k hops of an owner benefits
 for free. In the access-cost variant (SGG-AC) a node's strategy is a target
 in its closed k-hop neighborhood: s_i = i means buy, s_i = j != i means pay
 the access cost a to owner j.
+
+`State` is the one view of a profile that the dynamics and `is_nash` share:
+follower counts, owners per closed k-ball, and the best-response rule
+stated in those counts.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ from .netgraph import Graph
 
 SGG = "SGG"
 SGG_AC = "SGG-AC"
-
-# Absolute tolerance for money comparisons. Because p/a is never an integer,
-# buy-vs-rent comparisons are bounded away from ties by at least a/2.
-MONEY_TOL = 1e-9
 
 Profile = list[int]
 
@@ -91,30 +91,6 @@ def owners(cfg: GameConfig, s: Profile) -> set[int]:
     return {i for i, x in enumerate(s) if x == i}
 
 
-def followers(g: Graph, cfg: GameConfig, s: Profile, i: int) -> set[int]:
-    """Nodes pointing at i (SGG-AC only). Strategy-set membership keeps every
-    follower within k hops of i automatically."""
-    if cfg.variant != SGG_AC:
-        raise VariantError("followers are defined only for SGG-AC")
-    return {j for j, x in enumerate(s) if x == i and j != i}
-
-
-def utility(g: Graph, cfg: GameConfig, s: Profile, i: int) -> float:
-    nbhd = g.closed_neighborhoods(cfg.k)
-    if cfg.variant == SGG:
-        if s[i] == 1:
-            return cfg.b - cfg.p
-        if any(s[j] == 1 for j in nbhd[i]):
-            return cfg.b
-        return 0.0
-    if s[i] == i:
-        count = sum(1 for j, x in enumerate(s) if x == i and j != i)
-        return cfg.b - cfg.p + cfg.a * count
-    if s[s[i]] == s[i]:
-        return cfg.b - cfg.a
-    return 0.0
-
-
 def is_in_T(g: Graph, cfg: GameConfig, s: Profile) -> bool:
     """True iff every node accesses a good (owns one or reaches an owner)."""
     if cfg.variant == SGG:
@@ -139,32 +115,78 @@ def social_cost(g: Graph, cfg: GameConfig, s: Profile) -> float:
     return cfg.p * len(owners(cfg, s))
 
 
-def best_response_set(g: Graph, cfg: GameConfig, s: Profile, i: int) -> set[int]:
-    """All strategies of i maximizing its utility given s_{-i}."""
-    nbhd = g.closed_neighborhoods(cfg.k)
-    if cfg.variant == SGG:
-        # Free riding (b) beats buying (b - p) whenever another owner is in
-        # range; otherwise buying (b - p > 0) beats no access. Never a tie.
-        if any(s[j] == 1 for j in nbhd[i] if j != i):
-            return {0}
-        return {1}
-    follower_count = sum(1 for j, x in enumerate(s) if x == i and j != i)
-    u_buy = cfg.b - cfg.p + cfg.a * follower_count
-    rent_targets = [j for j in nbhd[i] if j != i and s[j] == j]
-    best = {i}
-    u_max = u_buy
-    if rent_targets:
-        u_rent = cfg.b - cfg.a
-        if u_rent > u_max + MONEY_TOL:
-            best, u_max = set(rent_targets), u_rent
-        elif u_rent >= u_max - MONEY_TOL:
-            best.update(rent_targets)
-    # Pointing at a non-owner yields 0 < b - p, never optimal.
-    return best
+class State:
+    """Incremental view of a strategy profile s (held by reference): the
+    follower count of each node and the number of owners inside each closed
+    k-hop neighborhood, kept current by `set_strategy`."""
+
+    __slots__ = ("cfg", "sgg", "nbhd", "s", "flw", "owners_in")
+
+    def __init__(self, g: Graph, cfg: GameConfig, s: Profile):
+        self.cfg = cfg
+        self.sgg = cfg.variant == SGG
+        self.nbhd = g.closed_neighborhoods(cfg.k)
+        self.s = s
+        n = g.n
+        self.owners_in = [0] * n
+        self.flw = [0] * n
+        for i in range(n):
+            if self.owns(i):
+                for j in self.nbhd[i]:
+                    self.owners_in[j] += 1
+            if not self.sgg and s[i] != i:
+                self.flw[s[i]] += 1
+
+    def owns(self, i: int) -> bool:
+        return self.s[i] == (1 if self.sgg else i)
+
+    def other_owner_in_range(self, i: int) -> bool:
+        return self.owners_in[i] - self.owns(i) >= 1
+
+    def set_strategy(self, i: int, new: int) -> None:
+        old = self.s[i]
+        if old == new:
+            return
+        owned = self.owns(i)
+        self.s[i] = new
+        if owned != self.owns(i):
+            delta = -1 if owned else 1
+            for j in self.nbhd[i]:
+                self.owners_in[j] += delta
+        if not self.sgg:
+            if old != i:
+                self.flw[old] -= 1
+            if new != i:
+                self.flw[new] += 1
+
+    def best_responses(self, i: int) -> list[int] | None:
+        """None if s_i is a best response to s_{-i}; otherwise every best
+        response of i, in the order the dynamics draws from.
+
+        SGG: free riding (b) beats buying (b - p) exactly when another owner
+        is within k hops, and buying beats no access (0). SGG-AC: renting
+        (b - a) beats buying (b - p + a * followers) exactly when followers
+        < xi, since p/a is never an integer; pointing at a non-owner (0) is
+        never best. So i rents, from any owner in its ball, exactly when
+        another owner is in range and it has fewer than xi followers.
+        """
+        s = self.s
+        x = s[i]
+        if self.sgg:                 # x is 1 exactly when i owns
+            want = 0 if self.owners_in[i] - x else 1
+            return None if x == want else [want]
+        if self.owners_in[i] - (x == i) and self.flw[i] < self.cfg.xi:
+            if x != i and s[x] == x:
+                return None
+            return [j for j in self.nbhd[i] if j != i and s[j] == j]
+        return None if x == i else [i]
+
+    def is_nash(self) -> bool:
+        return all(self.best_responses(i) is None for i in range(len(self.s)))
 
 
 def is_nash(g: Graph, cfg: GameConfig, s: Profile) -> bool:
-    return all(s[i] in best_response_set(g, cfg, s, i) for i in range(g.n))
+    return State(g, cfg, s).is_nash()
 
 
 def is_k_independent_dominating(g: Graph, k: int, owner_set: set[int]) -> bool:

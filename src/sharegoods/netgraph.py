@@ -251,13 +251,6 @@ def _require(spec: FamilySpec, *fields: str) -> None:
             raise ConfigError(f"family {spec.family!r} requires {f!r}")
 
 
-def k_hop_neighborhood(g: Graph, i: int, k: int) -> set[int]:
-    """{j : dist(i, j) <= k}; always contains i."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return g.closed_neighborhood(i, k)
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components, ordered by smallest member, each sorted."""
     seen = [False] * g.n

@@ -158,16 +158,12 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
                      proven_optimal=proven, nodes_explored=explored)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def export_ilp(g: Graph, k: int, p: float = 1.0) -> str:
     """CPLEX-LP text for the covering integer program: minimize p * sum(x_i)
     subject to one covering constraint per node, all variables binary."""
     nbhd = g.closed_neighborhoods(k)
     lines = ["Minimize"]
-    coef = "" if p == 1 else _fmt(p) + " "
+    coef = "" if p == 1 else f"{p:.6g} "
     obj_terms = " + ".join(f"{coef}x{i}" for i in range(g.n))
     lines.append(f" obj: {obj_terms}")
     lines.append("Subject To")

@@ -1,14 +1,63 @@
 """Independent brute-force oracles used by the tests. These deliberately
-avoid the library's solver/enumeration code paths."""
+avoid the library's solver/enumeration code paths, and the game rules here
+are the definition-level money comparisons, not `game.State`'s counts."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from sharegoods import game
 from sharegoods.game import SGG, SGG_AC, GameConfig
 from sharegoods.netgraph import Graph
+
+# Absolute tolerance for money comparisons. Because p/a is never an integer,
+# buy-vs-rent comparisons are bounded away from ties by at least a/2.
+MONEY_TOL = 1e-9
+
+
+def utility(g: Graph, cfg: GameConfig, s: list[int], i: int) -> float:
+    nbhd = g.closed_neighborhoods(cfg.k)
+    if cfg.variant == SGG:
+        if s[i] == 1:
+            return cfg.b - cfg.p
+        if any(s[j] == 1 for j in nbhd[i]):
+            return cfg.b
+        return 0.0
+    if s[i] == i:
+        count = sum(1 for j, x in enumerate(s) if x == i and j != i)
+        return cfg.b - cfg.p + cfg.a * count
+    if s[s[i]] == s[i]:
+        return cfg.b - cfg.a
+    return 0.0
+
+
+def best_response_set(g: Graph, cfg: GameConfig, s: list[int],
+                      i: int) -> set[int]:
+    """All strategies of i maximizing its utility given s_{-i}."""
+    nbhd = g.closed_neighborhoods(cfg.k)
+    if cfg.variant == SGG:
+        # Free riding (b) beats buying (b - p) whenever another owner is in
+        # range; otherwise buying (b - p > 0) beats no access. Never a tie.
+        if any(s[j] == 1 for j in nbhd[i] if j != i):
+            return {0}
+        return {1}
+    follower_count = sum(1 for j, x in enumerate(s) if x == i and j != i)
+    u_buy = cfg.b - cfg.p + cfg.a * follower_count
+    rent_targets = [j for j in nbhd[i] if j != i and s[j] == j]
+    best = {i}
+    u_max = u_buy
+    if rent_targets:
+        u_rent = cfg.b - cfg.a
+        if u_rent > u_max + MONEY_TOL:
+            best, u_max = set(rent_targets), u_rent
+        elif u_rent >= u_max - MONEY_TOL:
+            best.update(rent_targets)
+    # Pointing at a non-owner yields 0 < b - p, never optimal.
+    return best
+
+
+def is_nash(g: Graph, cfg: GameConfig, s: list[int]) -> bool:
+    return all(s[i] in best_response_set(g, cfg, s, i) for i in range(g.n))
 
 
 def _ball_masks(g: Graph, k: int) -> list[int]:
@@ -67,7 +116,7 @@ def brute_force_sgg_ne_owner_sets(g: Graph, cfg: GameConfig) -> set[frozenset]:
     out = set()
     for bits in itertools.product((0, 1), repeat=g.n):
         s = list(bits)
-        if game.is_nash(g, cfg, s):
+        if is_nash(g, cfg, s):
             out.add(frozenset(i for i, x in enumerate(s) if x == 1))
     return out
 
@@ -91,7 +140,7 @@ def brute_force_sggac_ne_exists(g: Graph, cfg: GameConfig,
         s = list(range(g.n))
         for v, target in zip(non_owners, combo):
             s[v] = target
-        if game.is_nash(g, cfg, s):
+        if is_nash(g, cfg, s):
             return True
     return False
 

@@ -4,7 +4,7 @@ the measured values (run with `pytest -s tests/test_acceptance.py`)."""
 import random
 
 from _oracles import (brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
-                      exhaustive_min_dominating, random_graph)
+                      exhaustive_min_dominating, is_nash, random_graph)
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import best_response_dynamics, stabilize
@@ -97,7 +97,7 @@ def test_criterion_6_convergence_and_deviation_cases():
             cfg = GameConfig(SGG_AC, k, xi=rng.randint(1, 8))
         result = best_response_dynamics(g, cfg, rng.getrandbits(32))
         assert result.passes <= 3
-        assert game.is_nash(g, cfg, result.profile)
+        assert is_nash(g, cfg, result.profile)
         for pass_idx, cases in enumerate(result.case_counts, start=1):
             if pass_idx > 1:
                 assert cases[2] == 0, "Case-3 deviation after pass 1"
@@ -143,7 +143,7 @@ def test_criterion_8_stabilize_bounds():
         opt = min_dominating_exact(g, k)
         assert opt.proven_optimal
         s = stabilize(g, cfg, opt.owners)
-        assert game.is_nash(g, cfg, s)
+        assert is_nash(g, cfg, s)
         assert game.social_cost(g, cfg, s) == cfg.p * len(opt.owners)
         small_xi_checked += 1
     for _ in range(100):
@@ -154,7 +154,7 @@ def test_criterion_8_stabilize_bounds():
         cfg = GameConfig(SGG_AC, k, xi=xi)
         opt = min_dominating_exact(g, k)
         s = stabilize(g, cfg, opt.owners)
-        assert game.is_nash(g, cfg, s)
+        assert is_nash(g, cfg, s)
         bound = cfg.p * len(opt.owners) * max(1, xi // (k // 2 + 1))
         assert game.social_cost(g, cfg, s) <= bound
     print("ACCEPTANCE 8 stabilize PoS=1 (100 small-xi) and cost bound "
@@ -182,7 +182,7 @@ def test_criterion_9_bound_families():
                     s[v] = endpoint
                 s[endpoint] = endpoint
             s[0] = k  # center follows the first arm's endpoint
-            assert game.is_nash(g, cfg, s)
+            assert is_nash(g, cfg, s)
             assert game.social_cost(g, cfg, s) == m * cfg.p
 
     for m in (1, 2, 3):
@@ -193,7 +193,7 @@ def test_criterion_9_bound_families():
             witness = sggac_witness_profile(g, 1, xi, owner_set)
             assert witness is not None
             cfg = GameConfig(SGG_AC, 1, xi=xi)
-            assert game.is_nash(g, cfg, witness)
+            assert is_nash(g, cfg, witness)
     print("ACCEPTANCE 9 worst-case families (two-center tree, center-arms "
           "tree, complete): PASS")
 

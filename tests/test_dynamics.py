@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from _oracles import random_graph
+from _oracles import is_nash, random_graph
 from sharegoods import game
 from sharegoods import netgraph as ng
-from sharegoods.dynamics import (best_response_dynamics, derive_seed,
-                                 greedy_ne, stabilize)
+from sharegoods.dynamics import best_response_dynamics, derive_seed, stabilize
 from sharegoods.game import SGG, SGG_AC, GameConfig, VariantError
 
 
@@ -69,7 +68,7 @@ class TestBestResponseDynamics:
                 cfg = GameConfig(SGG_AC, k, xi=rng.randint(1, 6))
             result = best_response_dynamics(g, cfg, rng.getrandbits(32))
             assert result.passes <= 3
-            assert game.is_nash(g, cfg, result.profile)
+            assert is_nash(g, cfg, result.profile)
 
     def test_case_counters_recorded(self):
         g = ng.karate()
@@ -77,42 +76,6 @@ class TestBestResponseDynamics:
         result = best_response_dynamics(g, cfg, 9)
         assert len(result.case_counts) == result.passes
         assert sum(sum(c) for c in result.case_counts) == result.deviations
-
-
-class TestGreedyNe:
-    def test_chain5_lowest_id(self):
-        g = ng.chain(5)
-        cfg = GameConfig(SGG, 1)
-        s = greedy_ne(g, cfg, "lowest_id")
-        assert game.owners(cfg, s) == {0, 2, 4}
-        assert game.is_nash(g, cfg, s)
-
-    def test_star_lowest_id(self):
-        g = ng.star(100)
-        cfg = GameConfig(SGG, 1)
-        s = greedy_ne(g, cfg, "lowest_id")
-        assert game.owners(cfg, s) == {0}
-
-    def test_empty_edges(self):
-        g = ng.Graph(3, [])
-        for cfg in (GameConfig(SGG, 1), GameConfig(SGG_AC, 1, xi=1)):
-            s = greedy_ne(g, cfg, "lowest_id")
-            assert game.owners(cfg, s) == {0, 1, 2}
-
-    def test_is_nash_both_variants_random_rule(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 15), rng.random() * 0.4)
-            k = rng.randint(1, 2)
-            for cfg in (GameConfig(SGG, k),
-                        GameConfig(SGG_AC, k, xi=rng.randint(1, 4))):
-                s = greedy_ne(g, cfg, "random", seed=rng.getrandbits(16))
-                game.validate_profile(g, cfg, s)
-                assert game.is_nash(g, cfg, s)
-
-    def test_bad_rule(self):
-        with pytest.raises(ValueError):
-            greedy_ne(ng.chain(3), GameConfig(SGG, 1), "highest_id")
 
 
 class TestStabilize:
@@ -134,7 +97,7 @@ class TestStabilize:
         g = ng.two_center_tree(k=1, m=3)
         cfg = GameConfig(SGG_AC, 1, xi=5)
         s = stabilize(g, cfg, {0, 1})
-        assert game.is_nash(g, cfg, s)
+        assert is_nash(g, cfg, s)
         assert s[0] == 1                      # first center now rents
         assert game.social_cost(g, cfg, s) == 4
 
@@ -158,7 +121,7 @@ class TestStabilize:
             cfg = GameConfig(SGG_AC, k, xi=xi)
             opt = min_dominating_exact(g, k)
             s = stabilize(g, cfg, opt.owners)
-            assert game.is_nash(g, cfg, s)
+            assert is_nash(g, cfg, s)
             bound = len(opt.owners) * max(1, xi // (k // 2 + 1))
             assert len(game.owners(cfg, s)) <= bound
 

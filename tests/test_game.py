@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from _oracles import (brute_force_sgg_ne_owner_sets, disjoint_union,
-                      random_graph)
+import _oracles
+from _oracles import (best_response_set, brute_force_sgg_ne_owner_sets,
+                      disjoint_union, random_graph, utility)
 from sharegoods import game
 from sharegoods import netgraph as ng
-from sharegoods.game import (SGG, SGG_AC, GameConfig, VariantError,
-                             best_response_set, followers, is_in_T,
-                             is_k_independent_dominating, is_nash, owners,
-                             parse_profile, serialize_profile, social_cost,
-                             utility)
+from sharegoods.dynamics import best_response_dynamics
+from sharegoods.game import (SGG, SGG_AC, GameConfig, State, is_in_T,
+                             is_k_independent_dominating, owners,
+                             parse_profile, serialize_profile, social_cost)
 
 
 class TestGameConfig:
@@ -41,30 +41,26 @@ class TestGameConfig:
 
 
 class TestFollowers:
+    """Hand-counted follower rows for `State.flw`."""
+
     def test_star_leaves_point_at_center(self):
         g = ng.star(5)
         cfg = GameConfig(SGG_AC, 1, xi=1)
-        s = [0, 0, 0, 0, 0]
-        assert followers(g, cfg, s, 0) == {1, 2, 3, 4}
+        assert State(g, cfg, [0, 0, 0, 0, 0]).flw == [4, 0, 0, 0, 0]
 
     def test_empty(self):
         g = ng.chain(3)
         cfg = GameConfig(SGG_AC, 1, xi=1)
-        s = [0, 1, 2]
-        for i in range(3):
-            assert followers(g, cfg, s, i) == set()
+        assert State(g, cfg, [0, 1, 2]).flw == [0, 0, 0]
 
     def test_chain3_mixed(self):
         g = ng.chain(3)
         cfg = GameConfig(SGG_AC, 1, xi=1)
-        s = [0, 0, 2]
-        assert followers(g, cfg, s, 0) == {1}
-        assert followers(g, cfg, s, 2) == set()
-
-    def test_variant_error(self):
-        g = ng.chain(3)
-        with pytest.raises(VariantError):
-            followers(g, GameConfig(SGG, 1), [0, 0, 0], 0)
+        state = State(g, cfg, [0, 0, 2])
+        assert state.flw == [1, 0, 0]
+        state.set_strategy(2, 1)      # owner 2 follows non-owner 1
+        assert state.flw == [1, 1, 0]
+        assert state.owners_in == [1, 1, 0]
 
 
 class TestUtility:
@@ -183,24 +179,91 @@ class TestBestResponse:
 
 
 class TestIsNash:
+    """Hand-derived rows, checked on the oracle and on `game.is_nash`."""
+
+    @staticmethod
+    def is_nash(g, cfg, s):
+        expected = _oracles.is_nash(g, cfg, s)
+        assert game.is_nash(g, cfg, s) == expected
+        return expected
+
     def test_figure1(self, figure1_graph):
         cfg = GameConfig(SGG, 1)
-        assert not is_nash(figure1_graph, cfg, [0, 0, 1, 0, 0, 1])  # owners 3,6 adjacent
-        assert is_nash(figure1_graph, cfg, [1, 1, 0, 1, 1, 0])      # owners 1,2,4,5
-        assert is_nash(figure1_graph, cfg, [0, 0, 1, 0, 0, 0])      # owner 3
+        assert not self.is_nash(figure1_graph, cfg, [0, 0, 1, 0, 0, 1])  # owners 3,6 adjacent
+        assert self.is_nash(figure1_graph, cfg, [1, 1, 0, 1, 1, 0])      # owners 1,2,4,5
+        assert self.is_nash(figure1_graph, cfg, [0, 0, 1, 0, 0, 0])      # owner 3
 
     def test_figure2b(self, figure1_graph):
         # Owners 3 and 6 (0-based 2, 5); 1,2 -> 3 and 4,5 -> 6.
         cfg = GameConfig(SGG_AC, 1, b=2, p=1, xi=2)
         s = [2, 2, 2, 5, 5, 5]
-        assert is_nash(figure1_graph, cfg, s)
+        assert self.is_nash(figure1_graph, cfg, s)
         assert social_cost(figure1_graph, cfg, s) == 2 * cfg.p
 
     def test_figure2c(self, figure1_graph):
         cfg = GameConfig(SGG_AC, 1, b=2, p=1, xi=2)
         s = [2, 2, 2, 2, 2, 2]
-        assert is_nash(figure1_graph, cfg, s)
+        assert self.is_nash(figure1_graph, cfg, s)
         assert social_cost(figure1_graph, cfg, s) == cfg.p
+
+
+class TestStateRule:
+    """`State.best_responses` and `game.is_nash` against the oracle's
+    money comparisons, on seeded random profiles."""
+
+    @staticmethod
+    def random_profile(rng, g, cfg, nbhd):
+        q = rng.random()
+        if cfg.variant == SGG:
+            return [int(rng.random() < q) for _ in range(g.n)]
+        return [i if rng.random() < q else rng.choice(nbhd[i])
+                for i in range(g.n)]
+
+    def test_matches_oracle(self):
+        rng = random.Random(41)
+        seen = set()
+        for trial in range(900):
+            g = disjoint_union(random_graph(rng, rng.randint(0, 10),
+                                            rng.random() * 0.5),
+                               isolated=rng.randint(0, 2))
+            if trial < 6:
+                g = ng.Graph(0, [])
+            k = rng.randint(1, 3)
+            nbhd = g.closed_neighborhoods(k)
+            kind = trial % 3
+            if kind == 0:
+                cfg = GameConfig(SGG, k)
+            elif kind == 1:
+                cfg = GameConfig(SGG_AC, k, xi=rng.randint(1, 4))
+            else:
+                cfg = GameConfig(SGG_AC, k, a=rng.choice((0.3, 0.45, 0.09)))
+            if trial % 2:
+                # An equilibrium, with up to two nodes moved off it.
+                s = best_response_dynamics(g, cfg,
+                                           rng.getrandbits(32)).profile
+                for i in rng.sample(range(g.n), min(g.n, rng.randint(0, 2))):
+                    s[i] = self.random_profile(rng, g, cfg, nbhd)[i]
+                state = State(g, cfg, s)
+            else:
+                # Reached by set_strategy moves, so the counts are updated
+                # incrementally rather than built once.
+                s = self.random_profile(rng, g, cfg, nbhd)
+                state = State(g, cfg, self.random_profile(rng, g, cfg, nbhd))
+                for i in rng.sample(range(g.n), g.n):
+                    state.set_strategy(i, s[i])
+                assert state.s == s
+            for i in range(g.n):
+                expected = _oracles.best_response_set(g, cfg, s, i)
+                got = state.best_responses(i)
+                if s[i] in expected:
+                    assert got is None, (cfg, s, i)
+                else:
+                    assert len(got) == len(set(got)), (cfg, s, i)
+                    assert set(got) == expected, (cfg, s, i)
+            nash = _oracles.is_nash(g, cfg, s)
+            assert game.is_nash(g, cfg, s) == nash == state.is_nash()
+            seen.add((kind, nash))
+        assert len(seen) == 6
 
 
 class TestKIndependentDominating:

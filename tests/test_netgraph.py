@@ -4,8 +4,7 @@ import pytest
 
 from sharegoods import netgraph as ng
 from sharegoods.netgraph import (ConfigError, FamilySpec, Graph, ParseError,
-                                 connected_components, k_hop_neighborhood,
-                                 load_edge_list)
+                                 connected_components, load_edge_list)
 
 
 class TestLoadEdgeList:
@@ -99,22 +98,20 @@ class TestGenerators:
 class TestKHop:
     def test_chain_center(self):
         g = ng.chain(5)
-        assert k_hop_neighborhood(g, 2, 2) == {0, 1, 2, 3, 4}
+        assert g.closed_neighborhood(2, 2) == {0, 1, 2, 3, 4}
 
     def test_star_center(self):
         g = ng.star(100)
-        assert k_hop_neighborhood(g, 0, 1) == set(range(100))
+        assert g.closed_neighborhood(0, 1) == set(range(100))
 
     def test_isolated(self):
         g = Graph(3, [(0, 1)])
-        assert k_hop_neighborhood(g, 2, 5) == {2}
+        assert g.closed_neighborhood(2, 5) == {2}
 
     def test_out_of_range(self):
         g = ng.chain(3)
         with pytest.raises(ValueError):
-            k_hop_neighborhood(g, 3, 1)
-        with pytest.raises(ValueError):
-            k_hop_neighborhood(g, 0, 0)
+            g.closed_neighborhood(3, 1)
 
     def test_symmetry_and_monotonicity(self):
         rng = random.Random(0)
@@ -124,11 +121,11 @@ class TestKHop:
                           if rng.random() < 0.3])
             for k in (1, 2):
                 for i in range(n):
-                    nb = k_hop_neighborhood(g, i, k)
+                    nb = g.closed_neighborhood(i, k)
                     assert i in nb
-                    assert nb <= k_hop_neighborhood(g, i, k + 1)
+                    assert nb <= g.closed_neighborhood(i, k + 1)
                     for j in nb:
-                        assert i in k_hop_neighborhood(g, j, k)
+                        assert i in g.closed_neighborhood(j, k)
 
 
 class TestComponents:
