@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -90,6 +91,15 @@ def _side_path(config: ExperimentConfig, xi, suffix: str) -> Path:
     return base.parent / (safe + suffix)
 
 
+@functools.lru_cache(maxsize=1)
+def _optimum(g: Graph, k: int, p: float):
+    """The exact optimum, computed once for the consecutive rows that share
+    a (graph, k, p): one graph's rows, and the SGG and SGG-AC experiments
+    on one graph, come one after another. A Graph hashes by identity and
+    never changes, and the cache holds it, so its key cannot be reused."""
+    return min_dominating_exact(g, k, p=p)
+
+
 def compute_row(config: ExperimentConfig, xi, cfg: GameConfig) -> dict:
     g = config.graph
     row = {c: "" for c in CSV_COLUMNS}
@@ -101,7 +111,7 @@ def compute_row(config: ExperimentConfig, xi, cfg: GameConfig) -> dict:
         row["xi"] = cfg.xi
     opt = None
     if "optimum" in config.analyses or "stabilize" in config.analyses:
-        opt = min_dominating_exact(g, cfg.k, p=cfg.p)
+        opt = _optimum(g, cfg.k, cfg.p)
     if "optimum" in config.analyses:
         row["opt_cost"] = opt.cost
         row["opt_proven"] = opt.proven_optimal

@@ -2,11 +2,11 @@
 optimum-repair stabilization for SGG-AC.
 
 Best-response dynamics starts from the no-buyer profile (SGG) or a random
-assignment (SGG-AC), fixes one random node order, and sweeps nodes letting
-each one that is not playing a best response move to one drawn uniformly
-from `game.State.best_responses`. It provably reaches a Nash equilibrium
-within three sweeps; we count sweeps and fail loudly if a fourth would be
-needed.
+assignment (SGG-AC), fixes one random node order, and sweeps nodes with
+`game.State.sweep`, which moves each one that is not playing a best
+response to one of its best responses drawn uniformly. It provably reaches
+a Nash equilibrium within three sweeps; we count sweeps and fail loudly if
+a fourth would be needed.
 """
 
 from __future__ import annotations
@@ -43,57 +43,35 @@ class DynamicsResult:
     case_counts: list[list[int]] = field(default_factory=list)
 
 
-def _sweep(state: game.State, order: list[int], rng: random.Random,
-           cases: list[int]) -> int:
-    """One pass of the dynamics; returns the number of deviations."""
-    deviations = 0
-    for i in order:
-        best = state.best_responses(i)
-        if best is None:
-            continue
-        owned = state.owns(i)
-        state.set_strategy(i, rng.choice(best))
-        # Buying adds i to its own ball's owner count, so "another owner
-        # in range" reads the same after the move as before it.
-        if owned:
-            cases[3] += 1            # owner reverts to free riding / renting
-        elif not state.owns(i):
-            cases[1] += 1            # underprivileged node starts accessing
-        elif state.other_owner_in_range(i):
-            cases[2] += 1            # non-owner buys despite a nearby owner
-        else:
-            cases[0] += 1            # underprivileged node buys
-        deviations += 1
-    return deviations
-
-
 def best_response_dynamics(g: Graph, cfg: GameConfig, seed: int) -> DynamicsResult:
     """Run best-response dynamics to a Nash equilibrium (at most 3 passes)."""
     rng = random.Random(seed)
-    nbhd = g.closed_neighborhoods(cfg.k)
+    randbelow = rng._randbelow   # rng.choice(seq) is seq[randbelow(len(seq))]
     if cfg.variant == SGG:
         s = [0] * g.n
     else:
         s = []
-        for i in range(g.n):
-            options = [j for j in nbhd[i] if j != i]
-            # Isolated nodes have no alternative; buying is the only
-            # positive-utility action.
-            s.append(rng.choice(options) if options else i)
+        for i, ball in enumerate(g.closed_neighborhoods(cfg.k)):
+            if len(ball) == 1:
+                s.append(i)      # isolated: nobody to rent from, so buy
+            else:                # a uniform node of the sorted ball but i
+                r = randbelow(len(ball) - 1)
+                s.append(ball[r] if ball[r] < i else ball[r + 1])
     state = game.State(g, cfg, s)
     order = list(range(g.n))
     rng.shuffle(order)
-    passes = 0
     deviations = 0
     case_counts: list[list[int]] = []
-    while not state.is_nash():
-        if passes >= 3:
-            raise RuntimeError("dynamics did not converge within 3 passes")
+    while True:
         cases = [0, 0, 0, 0]
-        deviations += _sweep(state, order, rng, cases)
+        moves = state.sweep(order, randbelow, cases)
+        if not moves:            # nobody moved: a Nash equilibrium
+            break
+        if len(case_counts) == 3:
+            raise RuntimeError("dynamics did not converge within 3 passes")
+        deviations += moves
         case_counts.append(cases)
-        passes += 1
-    return DynamicsResult(profile=state.s, passes=passes,
+    return DynamicsResult(profile=state.s, passes=len(case_counts),
                           deviations=deviations, seed=seed,
                           case_counts=case_counts)
 

@@ -8,8 +8,8 @@ in its closed k-hop neighborhood: s_i = i means buy, s_i = j != i means pay
 the access cost a to owner j.
 
 `State` is the one view of a profile that the dynamics and `is_nash` share:
-follower counts, owners per closed k-ball, and the best-response rule
-stated in those counts.
+follower counts, owners per closed k-ball, and `State.sweep`, the one
+best-response rule, stated in those counts, with its moves and case counts.
 """
 
 from __future__ import annotations
@@ -118,71 +118,93 @@ def social_cost(g: Graph, cfg: GameConfig, s: Profile) -> float:
 class State:
     """Incremental view of a strategy profile s (held by reference): the
     follower count of each node and the number of owners inside each closed
-    k-hop neighborhood, kept current by `set_strategy`."""
+    k-hop neighborhood, kept current by `sweep`."""
 
-    __slots__ = ("cfg", "sgg", "nbhd", "s", "flw", "owners_in")
+    __slots__ = ("sgg", "xi", "nbhd", "s", "flw", "owners_in")
 
     def __init__(self, g: Graph, cfg: GameConfig, s: Profile):
-        self.cfg = cfg
-        self.sgg = cfg.variant == SGG
-        self.nbhd = g.closed_neighborhoods(cfg.k)
+        self.sgg = sgg = cfg.variant == SGG
+        self.xi = cfg.xi
+        self.nbhd = nbhd = g.closed_neighborhoods(cfg.k)
         self.s = s
-        n = g.n
-        self.owners_in = [0] * n
-        self.flw = [0] * n
-        for i in range(n):
-            if self.owns(i):
-                for j in self.nbhd[i]:
-                    self.owners_in[j] += 1
-            if not self.sgg and s[i] != i:
-                self.flw[s[i]] += 1
+        self.owners_in = owners_in = [0] * g.n
+        self.flw = flw = [0] * g.n
+        for i, x in enumerate(s):
+            if x == (1 if sgg else i):
+                for j in nbhd[i]:
+                    owners_in[j] += 1
+            elif not sgg:
+                flw[x] += 1
 
-    def owns(self, i: int) -> bool:
-        return self.s[i] == (1 if self.sgg else i)
-
-    def other_owner_in_range(self, i: int) -> bool:
-        return self.owners_in[i] - self.owns(i) >= 1
-
-    def set_strategy(self, i: int, new: int) -> None:
-        old = self.s[i]
-        if old == new:
-            return
-        owned = self.owns(i)
-        self.s[i] = new
-        if owned != self.owns(i):
-            delta = -1 if owned else 1
-            for j in self.nbhd[i]:
-                self.owners_in[j] += delta
-        if not self.sgg:
-            if old != i:
-                self.flw[old] -= 1
-            if new != i:
-                self.flw[new] += 1
-
-    def best_responses(self, i: int) -> list[int] | None:
-        """None if s_i is a best response to s_{-i}; otherwise every best
-        response of i, in the order the dynamics draws from.
+    def sweep(self, order, randbelow=None, cases=None) -> int:
+        """Move each node of `order` that is off a best response to
+        best[randbelow(len(best))] of its best responses (ball order; a lone
+        one is drawn too, so the stream is rng.choice's), count the move's
+        case c in cases[c - 1], and return the number of moves. Without
+        randbelow, only check: return 1 at the first node off a best response.
 
         SGG: free riding (b) beats buying (b - p) exactly when another owner
         is within k hops, and buying beats no access (0). SGG-AC: renting
         (b - a) beats buying (b - p + a * followers) exactly when followers
         < xi, since p/a is never an integer; pointing at a non-owner (0) is
-        never best. So i rents, from any owner in its ball, exactly when
-        another owner is in range and it has fewer than xi followers.
+        never best. So i rents exactly when another owner is in range and it
+        has fewer than xi followers. Cases: 1 an underprivileged node buys,
+        2 a non-owner buys despite a nearby owner, 3 an underprivileged node
+        starts accessing, 4 an owner reverts to free riding or renting.
         """
-        s = self.s
-        x = s[i]
-        if self.sgg:                 # x is 1 exactly when i owns
-            want = 0 if self.owners_in[i] - x else 1
-            return None if x == want else [want]
-        if self.owners_in[i] - (x == i) and self.flw[i] < self.cfg.xi:
-            if x != i and s[x] == x:
-                return None
-            return [j for j in self.nbhd[i] if j != i and s[j] == j]
-        return None if x == i else [i]
+        s, flw, owners_in, nbhd = self.s, self.flw, self.owners_in, self.nbhd
+        moves = 0
+        if self.sgg:                 # s[i] is 1 exactly when i owns
+            for i in order:
+                x = s[i]
+                if x == (0 if owners_in[i] - x else 1):
+                    continue
+                if randbelow is None:
+                    return 1
+                randbelow(1)
+                s[i] = 1 - x
+                delta = 1 - 2 * x
+                for j in nbhd[i]:
+                    owners_in[j] += delta
+                cases[3 if x else 0] += 1
+                moves += 1
+            return moves
+        xi = self.xi
+        for i in order:
+            x = s[i]
+            if owners_in[i] - (x == i) and flw[i] < xi:    # rents
+                if x != i and s[x] == x:
+                    continue
+                if randbelow is None:
+                    return 1
+                best = [j for j in nbhd[i] if j != i and s[j] == j]
+                new = best[randbelow(len(best))]
+                if x == i:
+                    for j in nbhd[i]:
+                        owners_in[j] -= 1
+                    cases[3] += 1
+                else:
+                    flw[x] -= 1
+                    cases[1] += 1
+                s[i] = new
+                flw[new] += 1
+            else:                                          # buys
+                if x == i:
+                    continue
+                if randbelow is None:
+                    return 1
+                randbelow(1)
+                # i does not own yet: owners_in[i] counts only others.
+                cases[2 if owners_in[i] else 0] += 1
+                for j in nbhd[i]:
+                    owners_in[j] += 1
+                s[i] = i
+                flw[x] -= 1
+            moves += 1
+        return moves
 
     def is_nash(self) -> bool:
-        return all(self.best_responses(i) is None for i in range(len(self.s)))
+        return not self.sweep(range(len(self.s)))
 
 
 def is_nash(g: Graph, cfg: GameConfig, s: Profile) -> bool:

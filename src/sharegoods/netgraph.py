@@ -80,27 +80,34 @@ class Graph:
             raise ValueError(f"node {i} out of range")
         if k < 0:
             raise ValueError("k must be non-negative")
-        seen = {i}
-        frontier = [i]
-        for _ in range(k):
-            nxt = []
-            for v in frontier:
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-        return seen
+        return set(self.closed_neighborhoods(k)[i])
 
     def closed_neighborhoods(self, k: int) -> tuple[tuple[int, ...], ...]:
         """All closed k-hop neighborhoods as sorted tuples; cached per k."""
         cached = self._nbhd_cache.get(k)
         if cached is None:
-            cached = tuple(tuple(sorted(self.closed_neighborhood(i, k)))
-                           for i in range(self.n))
-            self._nbhd_cache[k] = cached
+            # One BFS per source, depth k; mark[w] == source means seen.
+            adj = self._adj
+            mark = [-1] * self.n
+            balls = []
+            for i in range(self.n):
+                mark[i] = i
+                ball = [i]
+                frontier = ball
+                for _ in range(k):
+                    nxt = []
+                    for v in frontier:
+                        for w in adj[v]:
+                            if mark[w] != i:
+                                mark[w] = i
+                                nxt.append(w)
+                    if not nxt:
+                        break
+                    ball += nxt
+                    frontier = nxt
+                ball.sort()
+                balls.append(tuple(ball))
+            cached = self._nbhd_cache[k] = tuple(balls)
         return cached
 
     def __repr__(self) -> str:

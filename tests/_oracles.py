@@ -1,13 +1,17 @@
 """Independent brute-force oracles used by the tests. These deliberately
 avoid the library's solver/enumeration code paths, and the game rules here
-are the definition-level money comparisons, not `game.State`'s counts."""
+are the definition-level money comparisons, not `game.State`'s counts.
+`reference_dynamics` is the dynamics as written before the sweep kernel
+(one `rng.choice` per move), so that the kernel's draws can be checked
+against it."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from sharegoods.game import SGG, SGG_AC, GameConfig
+from sharegoods.dynamics import DynamicsResult
+from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
 from sharegoods.netgraph import Graph
 
 # Absolute tolerance for money comparisons. Because p/a is never an integer,
@@ -60,20 +64,32 @@ def is_nash(g: Graph, cfg: GameConfig, s: list[int]) -> bool:
     return all(s[i] in best_response_set(g, cfg, s, i) for i in range(g.n))
 
 
-def _ball_masks(g: Graph, k: int) -> list[int]:
+def ball_masks(g: Graph, k: int) -> list[int]:
+    """Closed k-balls as bitmasks, grown k times by the adjacency masks
+    (no BFS, and not `Graph.closed_neighborhoods`)."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     masks = []
-    for nb in g.closed_neighborhoods(k):
-        m = 0
-        for j in nb:
-            m |= 1 << j
-        masks.append(m)
+    for i in range(g.n):
+        ball = 1 << i
+        for _ in range(k):
+            grown = ball
+            m = ball
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                grown |= adj[v]
+            ball = grown
+        masks.append(ball)
     return masks
 
 
 def exhaustive_min_dominating(g: Graph, k: int) -> int:
     """Minimum distance-k dominating set size by subset enumeration."""
     n = g.n
-    cov = _ball_masks(g, k)
+    cov = ball_masks(g, k)
     full = (1 << n) - 1
     best = n
     for mask in range(1 << n):
@@ -95,7 +111,7 @@ def scan_greedy_dominating(g: Graph, k: int) -> set[int]:
     """Greedy distance-k domination by a full rescan per pick: add the node
     covering the most uncovered nodes, ties to the lowest id."""
     n = g.n
-    cov = _ball_masks(g, k)
+    cov = ball_masks(g, k)
     full = (1 << n) - 1
     uncovered = full
     chosen: set[int] = set()
@@ -171,3 +187,133 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+# The dynamics before `game.State.sweep`, kept as the reference that the
+# kernel must match draw for draw.
+
+class _ReferenceState:
+    """Incremental view of a strategy profile s (held by reference): the
+    follower count of each node and the number of owners inside each closed
+    k-hop neighborhood, kept current by `set_strategy`."""
+
+    __slots__ = ("cfg", "sgg", "nbhd", "s", "flw", "owners_in")
+
+    def __init__(self, g: Graph, cfg: GameConfig, s: Profile):
+        self.cfg = cfg
+        self.sgg = cfg.variant == SGG
+        self.nbhd = g.closed_neighborhoods(cfg.k)
+        self.s = s
+        n = g.n
+        self.owners_in = [0] * n
+        self.flw = [0] * n
+        for i in range(n):
+            if self.owns(i):
+                for j in self.nbhd[i]:
+                    self.owners_in[j] += 1
+            if not self.sgg and s[i] != i:
+                self.flw[s[i]] += 1
+
+    def owns(self, i: int) -> bool:
+        return self.s[i] == (1 if self.sgg else i)
+
+    def other_owner_in_range(self, i: int) -> bool:
+        return self.owners_in[i] - self.owns(i) >= 1
+
+    def set_strategy(self, i: int, new: int) -> None:
+        old = self.s[i]
+        if old == new:
+            return
+        owned = self.owns(i)
+        self.s[i] = new
+        if owned != self.owns(i):
+            delta = -1 if owned else 1
+            for j in self.nbhd[i]:
+                self.owners_in[j] += delta
+        if not self.sgg:
+            if old != i:
+                self.flw[old] -= 1
+            if new != i:
+                self.flw[new] += 1
+
+    def best_responses(self, i: int) -> list[int] | None:
+        """None if s_i is a best response to s_{-i}; otherwise every best
+        response of i, in the order the dynamics draws from.
+
+        SGG: free riding (b) beats buying (b - p) exactly when another owner
+        is within k hops, and buying beats no access (0). SGG-AC: renting
+        (b - a) beats buying (b - p + a * followers) exactly when followers
+        < xi, since p/a is never an integer; pointing at a non-owner (0) is
+        never best. So i rents, from any owner in its ball, exactly when
+        another owner is in range and it has fewer than xi followers.
+        """
+        s = self.s
+        x = s[i]
+        if self.sgg:                 # x is 1 exactly when i owns
+            want = 0 if self.owners_in[i] - x else 1
+            return None if x == want else [want]
+        if self.owners_in[i] - (x == i) and self.flw[i] < self.cfg.xi:
+            if x != i and s[x] == x:
+                return None
+            return [j for j in self.nbhd[i] if j != i and s[j] == j]
+        return None if x == i else [i]
+
+    def is_nash(self) -> bool:
+        return all(self.best_responses(i) is None for i in range(len(self.s)))
+
+
+def _reference_sweep(state: _ReferenceState, order: list[int],
+                     rng: random.Random, cases: list[int]) -> int:
+    """One pass of the dynamics; returns the number of deviations."""
+    deviations = 0
+    for i in order:
+        best = state.best_responses(i)
+        if best is None:
+            continue
+        owned = state.owns(i)
+        state.set_strategy(i, rng.choice(best))
+        # Buying adds i to its own ball's owner count, so "another owner
+        # in range" reads the same after the move as before it.
+        if owned:
+            cases[3] += 1            # owner reverts to free riding / renting
+        elif not state.owns(i):
+            cases[1] += 1            # underprivileged node starts accessing
+        elif state.other_owner_in_range(i):
+            cases[2] += 1            # non-owner buys despite a nearby owner
+        else:
+            cases[0] += 1            # underprivileged node buys
+        deviations += 1
+    return deviations
+
+
+def reference_dynamics(g: Graph, cfg: GameConfig, seed: int) -> DynamicsResult:
+    """Best-response dynamics as `best_response_dynamics` ran it before its
+    sweep kernel: `rng.choice` on each best-response list, moves applied
+    through `set_strategy`. Same seed, same result."""
+    rng = random.Random(seed)
+    nbhd = g.closed_neighborhoods(cfg.k)
+    if cfg.variant == SGG:
+        s = [0] * g.n
+    else:
+        s = []
+        for i in range(g.n):
+            options = [j for j in nbhd[i] if j != i]
+            # Isolated nodes have no alternative; buying is the only
+            # positive-utility action.
+            s.append(rng.choice(options) if options else i)
+    state = _ReferenceState(g, cfg, s)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    passes = 0
+    deviations = 0
+    case_counts: list[list[int]] = []
+    while not state.is_nash():
+        if passes >= 3:
+            raise RuntimeError("dynamics did not converge within 3 passes")
+        cases = [0, 0, 0, 0]
+        deviations += _reference_sweep(state, order, rng, cases)
+        case_counts.append(cases)
+        passes += 1
+    return DynamicsResult(profile=state.s, passes=passes,
+                          deviations=deviations, seed=seed,
+                          case_counts=case_counts)

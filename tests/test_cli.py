@@ -9,6 +9,7 @@ from sharegoods.cli import (CSV_COLUMNS, ExperimentConfig, config_from_values,
                             main, presets, run_experiment, write_csv)
 from sharegoods.game import SGG, SGG_AC
 from sharegoods.netgraph import ConfigError
+from sharegoods.optimum import min_dominating_exact
 
 SMALL = dict(runs=30, master_seed=4)
 
@@ -45,6 +46,20 @@ class TestPresets:
     def test_unknown(self):
         with pytest.raises(ConfigError):
             presets("table9")
+
+    def test_optimum_once_per_graph_and_k(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(g, k, p=1.0):
+            calls.append((g, k, p))
+            return min_dominating_exact(g, k, p=p)
+        monkeypatch.setattr(cli, "min_dominating_exact", counted)
+        for name in ("table3_karate", "table4_karate"):
+            main(["preset", name, "--runs", "2",
+                  "--out", str(tmp_path / f"{name}.csv")])
+        # 12 rows, 4 distinct (graph, k): karate at k=1, a karate per k=2..4.
+        assert [k for _, k, _ in calls] == [1, 2, 3, 4]
+        assert len({id(g) for g, _, _ in calls}) == 4
 
 
 class TestRunExperiment:

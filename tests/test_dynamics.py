@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _oracles import is_nash, random_graph
+from _oracles import disjoint_union, is_nash, random_graph, reference_dynamics
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import best_response_dynamics, derive_seed, stabilize
@@ -70,6 +70,31 @@ class TestBestResponseDynamics:
             assert result.passes <= 3
             assert is_nash(g, cfg, result.profile)
 
+    def test_matches_reference_dynamics(self):
+        """Draw for draw the same as the dynamics before the sweep kernel:
+        profile, passes, deviations and case counts."""
+        rng = random.Random(17)
+        seen = set()
+        for trial in range(360):
+            g = disjoint_union(random_graph(rng, rng.randint(0, 30),
+                                            rng.random() * 0.4),
+                               isolated=rng.randint(0, 3))
+            if trial < 6:
+                g = ng.Graph(0, [])
+            k = rng.randint(1, 3)
+            kind = trial % 3
+            if kind == 0:
+                cfg = GameConfig(SGG, k)
+            elif kind == 1:
+                cfg = GameConfig(SGG_AC, k, xi=rng.randint(1, 6))
+            else:
+                cfg = GameConfig(SGG_AC, k, a=rng.choice((0.3, 0.45, 0.09)))
+            seed = rng.getrandbits(64)
+            result = best_response_dynamics(g, cfg, seed)
+            assert result == reference_dynamics(g, cfg, seed), (trial, cfg)
+            seen.add((kind, k))
+        assert len(seen) == 9
+
     def test_case_counters_recorded(self):
         g = ng.karate()
         cfg = GameConfig(SGG_AC, 1, xi=2)
@@ -124,6 +149,18 @@ class TestStabilize:
             assert is_nash(g, cfg, s)
             bound = len(opt.owners) * max(1, xi // (k // 2 + 1))
             assert len(game.owners(cfg, s)) <= bound
+
+
+def test_choice_is_randbelow_index():
+    """The dynamics draw seq[rng._randbelow(len(seq))] in place of
+    rng.choice(seq); this fails on a Python whose choice draws otherwise."""
+    for seed in range(20):
+        for size in range(1, 13):
+            seq = list(range(100, 100 + size))
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert a.choice(seq) == seq[b._randbelow(len(seq))]
+            assert a.getstate() == b.getstate()
 
 
 def test_derive_seed_distinct_streams():

@@ -56,9 +56,8 @@ class TestFollowers:
     def test_chain3_mixed(self):
         g = ng.chain(3)
         cfg = GameConfig(SGG_AC, 1, xi=1)
-        state = State(g, cfg, [0, 0, 2])
-        assert state.flw == [1, 0, 0]
-        state.set_strategy(2, 1)      # owner 2 follows non-owner 1
+        assert State(g, cfg, [0, 0, 2]).flw == [1, 0, 0]
+        state = State(g, cfg, [0, 0, 1])   # owner 2 now follows non-owner 1
         assert state.flw == [1, 1, 0]
         assert state.owners_in == [1, 1, 0]
 
@@ -208,8 +207,8 @@ class TestIsNash:
 
 
 class TestStateRule:
-    """`State.best_responses` and `game.is_nash` against the oracle's
-    money comparisons, on seeded random profiles."""
+    """`State.sweep`'s rule, moves and counts, and `game.is_nash`, against
+    the oracle's money comparisons on seeded random profiles."""
 
     @staticmethod
     def random_profile(rng, g, cfg, nbhd):
@@ -218,6 +217,33 @@ class TestStateRule:
             return [int(rng.random() < q) for _ in range(g.n)]
         return [i if rng.random() < q else rng.choice(nbhd[i])
                 for i in range(g.n)]
+
+    @staticmethod
+    def drawn_list(g, cfg, s, i):
+        """What a one-node sweep of i draws from, recovered by sweeping
+        fresh copies with draws 0, 1, ... in turn; None if i does not
+        move. Each move must leave the counts of a freshly built State."""
+        drawn, sizes = [], []
+
+        def randbelow(size):
+            sizes.append(size)
+            return len(drawn)
+        while True:
+            state = State(g, cfg, list(s))
+            cases = [0, 0, 0, 0]
+            moves = state.sweep([i], randbelow, cases)
+            if not moves:
+                assert not sizes and state.s == s and cases == [0] * 4
+                return None
+            assert moves == 1 and sum(cases) == 1
+            fresh = State(g, cfg, list(state.s))
+            assert (state.flw, state.owners_in) == (fresh.flw,
+                                                    fresh.owners_in)
+            assert state.s[:i] + state.s[i + 1:] == s[:i] + s[i + 1:]
+            drawn.append(state.s[i])
+            if len(drawn) == sizes[0]:
+                assert sizes == [sizes[0]] * len(drawn)
+                return drawn
 
     def test_matches_oracle(self):
         rng = random.Random(41)
@@ -243,25 +269,22 @@ class TestStateRule:
                                            rng.getrandbits(32)).profile
                 for i in rng.sample(range(g.n), min(g.n, rng.randint(0, 2))):
                     s[i] = self.random_profile(rng, g, cfg, nbhd)[i]
-                state = State(g, cfg, s)
             else:
-                # Reached by set_strategy moves, so the counts are updated
-                # incrementally rather than built once.
                 s = self.random_profile(rng, g, cfg, nbhd)
-                state = State(g, cfg, self.random_profile(rng, g, cfg, nbhd))
-                for i in rng.sample(range(g.n), g.n):
-                    state.set_strategy(i, s[i])
-                assert state.s == s
             for i in range(g.n):
                 expected = _oracles.best_response_set(g, cfg, s, i)
-                got = state.best_responses(i)
+                got = self.drawn_list(g, cfg, s, i)
                 if s[i] in expected:
                     assert got is None, (cfg, s, i)
                 else:
                     assert len(got) == len(set(got)), (cfg, s, i)
                     assert set(got) == expected, (cfg, s, i)
+            # The check-only sweep mutates nothing.
+            state = State(g, cfg, list(s))
+            before = (list(state.s), list(state.flw), list(state.owners_in))
             nash = _oracles.is_nash(g, cfg, s)
             assert game.is_nash(g, cfg, s) == nash == state.is_nash()
+            assert (state.s, state.flw, state.owners_in) == before
             seen.add((kind, nash))
         assert len(seen) == 6
 

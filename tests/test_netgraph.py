@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _oracles import ball_masks, disjoint_union, random_graph
 from sharegoods import netgraph as ng
 from sharegoods.netgraph import (ConfigError, FamilySpec, Graph, ParseError,
                                  connected_components, load_edge_list)
@@ -126,6 +127,21 @@ class TestKHop:
                     assert nb <= g.closed_neighborhood(i, k + 1)
                     for j in nb:
                         assert i in g.closed_neighborhood(j, k)
+
+
+    def test_table_matches_ball_masks(self):
+        rng = random.Random(3)
+        for trial in range(120):
+            g = disjoint_union(random_graph(rng, rng.randint(0, 25),
+                                            rng.random() * 0.3),
+                               isolated=rng.randint(0, 3))
+            for k in range(5):
+                table = g.closed_neighborhoods(k)
+                expected = [tuple(j for j in range(g.n) if m >> j & 1)
+                            for m in ball_masks(g, k)]
+                assert list(table) == expected, (trial, k)
+                for i in range(g.n):
+                    assert g.closed_neighborhood(i, k) == set(expected[i])
 
 
 class TestComponents:
