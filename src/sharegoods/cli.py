@@ -6,10 +6,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import game, netgraph
@@ -27,8 +25,6 @@ CSV_COLUMNS = [
 
 KNOWN_ANALYSES = ("optimum", "dynamics", "exact_efficiency", "stabilize",
                   "export_lp")
-
-WORKERS_ENV = "SHAREGOODS_WORKERS"
 
 
 @dataclass
@@ -100,59 +96,61 @@ def _optimum(g: Graph, k: int, p: float):
     return min_dominating_exact(g, k, p=p)
 
 
-def compute_row(config: ExperimentConfig, xi, cfg: GameConfig) -> dict:
+def compute_row(config: ExperimentConfig) -> list[dict]:
+    """The CSV rows of one experiment, one per (variant, xi) in order. The
+    dynamics of all rows run together, so each run's start is drawn once
+    for the whole xi grid."""
     g = config.graph
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update(dataset=config.dataset, n=g.n, edges=g.edge_count,
-               variant=cfg.variant, k=cfg.k, b=cfg.b, p=cfg.p,
-               runs=config.runs, seed=config.master_seed)
-    if cfg.variant == SGG_AC:
-        row["a"] = cfg.a
-        row["xi"] = cfg.xi
+    pairs = _game_configs(config)
+    analyses = config.analyses
     opt = None
-    if "optimum" in config.analyses or "stabilize" in config.analyses:
-        opt = _optimum(g, cfg.k, cfg.p)
-    if "optimum" in config.analyses:
-        row["opt_cost"] = opt.cost
-        row["opt_proven"] = opt.proven_optimal
-    if "dynamics" in config.analyses:
-        stats = empirical_cost_stats(g, cfg, config.runs, config.master_seed)
-        row["mean_cost"] = stats.mean_cost
-        row["std_cost"] = stats.std_cost
-        row["min_cost"] = stats.min_cost
-        row["max_cost"] = stats.max_cost
-        row["mean_passes"] = stats.mean_passes
-    if "exact_efficiency" in config.analyses:
-        report = exact_efficiency(g, cfg)
-        row["opt_cost"] = report.opt_cost
-        row["poa_exact"] = report.poa
-        row["pos_exact"] = report.pos
-    if "stabilize" in config.analyses and cfg.variant == SGG_AC:
-        profile = stabilize(g, cfg, opt.owners)
-        cost = game.social_cost(g, cfg, profile)
-        path = _side_path(config, xi, ".stabilized.profile")
-        path.write_text(game.serialize_profile(profile))
-        print(f"stabilize {config.dataset} xi={cfg.xi}: cost={_fmt(cost)} "
-              f"-> {path}")
-    if "export_lp" in config.analyses:
-        path = _side_path(config, xi, ".lp")
-        path.write_text(export_ilp(g, cfg.k, cfg.p))
-        print(f"export_lp {config.dataset} k={cfg.k} -> {path}")
-    return row
-
-
-def _row_task(args):
-    return compute_row(*args)
+    if "optimum" in analyses or "stabilize" in analyses:
+        opt = _optimum(g, config.k, config.p)
+    stats = [None] * len(pairs)
+    if "dynamics" in analyses:
+        stats = empirical_cost_stats(g, [cfg for _, cfg in pairs],
+                                     config.runs, config.master_seed)
+    rows = []
+    for (xi, cfg), st in zip(pairs, stats):
+        row = {c: "" for c in CSV_COLUMNS}
+        row.update(dataset=config.dataset, n=g.n, edges=g.edge_count,
+                   variant=cfg.variant, k=cfg.k, b=cfg.b, p=cfg.p,
+                   runs=config.runs, seed=config.master_seed)
+        if cfg.variant == SGG_AC:
+            row["a"] = cfg.a
+            row["xi"] = cfg.xi
+        if "optimum" in analyses:
+            row["opt_cost"] = opt.cost
+            row["opt_proven"] = opt.proven_optimal
+        if st is not None:
+            row["mean_cost"] = st.mean_cost
+            row["std_cost"] = st.std_cost
+            row["min_cost"] = st.min_cost
+            row["max_cost"] = st.max_cost
+            row["mean_passes"] = st.mean_passes
+        if "exact_efficiency" in analyses:
+            report = exact_efficiency(g, cfg)
+            row["opt_cost"] = report.opt_cost
+            row["poa_exact"] = report.poa
+            row["pos_exact"] = report.pos
+        if "stabilize" in analyses and cfg.variant == SGG_AC:
+            profile = stabilize(g, cfg, opt.owners)
+            cost = game.social_cost(g, cfg, profile)
+            path = _side_path(config, xi, ".stabilized.profile")
+            path.write_text(game.serialize_profile(profile))
+            print(f"stabilize {config.dataset} xi={cfg.xi}: "
+                  f"cost={_fmt(cost)} -> {path}")
+        if "export_lp" in analyses:
+            path = _side_path(config, xi, ".lp")
+            path.write_text(export_ilp(g, cfg.k, cfg.p))
+            print(f"export_lp {config.dataset} k={cfg.k} -> {path}")
+        rows.append(row)
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """One CSV row per (graph, variant, xi); deterministic row order."""
-    tasks = [(config, xi, cfg) for xi, cfg in _game_configs(config)]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_row_task, tasks))
-    return [compute_row(*t) for t in tasks]
+    return compute_row(config)
 
 
 def _write_rows(rows: list[dict], fh) -> None:
@@ -240,7 +238,8 @@ def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
         prob=float(values["prob"]) if "prob" in values else None,
         seed=int(values["graph_seed"]) if "graph_seed" in values else None,
     )
-    return _dataset_label(spec), netgraph.generate(spec)
+    g = netgraph.generate(spec)   # rejects specs the label cannot print
+    return _dataset_label(spec), g
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
@@ -276,7 +275,8 @@ def _family_graph_from_args(args) -> tuple[str, Graph]:
         raise ConfigError("give --family or --graph")
     spec = FamilySpec(family=args.family, n=args.n, k=args.arm_len, m=args.m,
                       prob=args.prob, seed=args.graph_seed)
-    return _dataset_label(spec), netgraph.generate(spec)
+    g = netgraph.generate(spec)   # rejects specs the label cannot print
+    return _dataset_label(spec), g
 
 
 def _add_family_flags(parser) -> None:
@@ -346,16 +346,20 @@ def main(argv=None) -> int:
                 rows.extend(run_experiment(config))
             write_csv(rows, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
-        elif args.command == "optimum":
+        else:                    # optimum, export-lp
+            if args.k < 1:
+                raise ConfigError("k must be >= 1")
+            if not args.p > 0:
+                raise ConfigError("price p must be positive")
             label, g = _family_graph_from_args(args)
-            result = min_dominating_exact(g, args.k, p=args.p)
-            status = "optimal" if result.proven_optimal else "incumbent"
-            print(f"{label}: k={args.k} cost={_fmt(result.cost)} ({status}) "
-                  f"owners={sorted(result.owners)}")
-        elif args.command == "export-lp":
-            label, g = _family_graph_from_args(args)
-            Path(args.out).write_text(export_ilp(g, args.k, args.p))
-            print(f"wrote LP for {label} (k={args.k}) to {args.out}")
+            if args.command == "optimum":
+                result = min_dominating_exact(g, args.k, p=args.p)
+                status = "optimal" if result.proven_optimal else "incumbent"
+                print(f"{label}: k={args.k} cost={_fmt(result.cost)} "
+                      f"({status}) owners={sorted(result.owners)}")
+            else:
+                Path(args.out).write_text(export_ilp(g, args.k, args.p))
+                print(f"wrote LP for {label} (k={args.k}) to {args.out}")
     # RuntimeError covers a solver that gave up (dynamics not converging, a
     # failed stabilize repair) and RecursionError.
     except (ConfigError, netgraph.ParseError, ValueError, OSError,

@@ -7,6 +7,13 @@ assignment (SGG-AC), fixes one random node order, and sweeps nodes with
 response to one of its best responses drawn uniformly. It provably reaches
 a Nash equilibrium within three sweeps; we count sweeps and fail loudly if
 a fourth would be needed.
+
+Every draw is written out over `rng.getrandbits`, as CPython's
+`random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
+`r = getrandbits(b)` redrawn while r >= m; `choice(seq)` is
+seq[randbelow(len(seq))], and `shuffle` swaps x[i] with x[randbelow(i + 1)]
+for i = n-1 .. 1. So a run's stream is the one `rng.choice` and
+`rng.shuffle` would draw.
 """
 
 from __future__ import annotations
@@ -43,28 +50,52 @@ class DynamicsResult:
     case_counts: list[list[int]] = field(default_factory=list)
 
 
-def best_response_dynamics(g: Graph, cfg: GameConfig, seed: int) -> DynamicsResult:
-    """Run best-response dynamics to a Nash equilibrium (at most 3 passes)."""
+def draw_start(g: Graph, cfg: GameConfig, seed: int):
+    """What a run draws before its first sweep: the start profile's
+    `game.State`, the node order, and the generator right after drawing
+    them, as a (state, order, rng) triple. It depends on the seed, the
+    graph, the variant and k, but not on xi or a."""
     rng = random.Random(seed)
-    randbelow = rng._randbelow   # rng.choice(seq) is seq[randbelow(len(seq))]
+    getrandbits = rng.getrandbits
     if cfg.variant == SGG:
         s = [0] * g.n
     else:
         s = []
         for i, ball in enumerate(g.closed_neighborhoods(cfg.k)):
-            if len(ball) == 1:
+            m = len(ball) - 1
+            if not m:
                 s.append(i)      # isolated: nobody to rent from, so buy
-            else:                # a uniform node of the sorted ball but i
-                r = randbelow(len(ball) - 1)
-                s.append(ball[r] if ball[r] < i else ball[r + 1])
-    state = game.State(g, cfg, s)
+                continue
+            b = m.bit_length()   # a uniform node of the sorted ball but i
+            r = getrandbits(b)
+            while r >= m:
+                r = getrandbits(b)
+            s.append(ball[r] if ball[r] < i else ball[r + 1])
     order = list(range(g.n))
-    rng.shuffle(order)
+    for i in range(g.n - 1, 0, -1):       # rng.shuffle(order)
+        b = (i + 1).bit_length()
+        j = getrandbits(b)
+        while j > i:
+            j = getrandbits(b)
+        order[i], order[j] = order[j], order[i]
+    return game.State(g, cfg, s), order, rng
+
+
+def best_response_dynamics(g: Graph, cfg: GameConfig, seed: int, *,
+                           start=None) -> DynamicsResult:
+    """Run best-response dynamics to a Nash equilibrium (at most 3 passes).
+
+    `start` is what `draw_start(g, cfg, seed)` returns, drawn here when not
+    given. A caller running one seed under several xi may draw it once and
+    pass each xi a `State.copy` with the generator set back to the state it
+    was in after the draw."""
+    state, order, rng = draw_start(g, cfg, seed) if start is None else start
+    getrandbits = rng.getrandbits
     deviations = 0
     case_counts: list[list[int]] = []
     while True:
         cases = [0, 0, 0, 0]
-        moves = state.sweep(order, randbelow, cases)
+        moves = state.sweep(order, getrandbits, cases)
         if not moves:            # nobody moved: a Nash equilibrium
             break
         if len(case_counts) == 3:

@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import game
-from .dynamics import best_response_dynamics, derive_seed
+from .dynamics import best_response_dynamics, derive_seed, draw_start
 from .game import SGG, SGG_AC, GameConfig
 from .netgraph import Graph
 from .optimum import cover_masks, min_dominating_exact
@@ -256,23 +256,40 @@ def exact_efficiency(g: Graph, cfg: GameConfig,
                             pos=best / opt.cost, exact=True)
 
 
-def empirical_cost_stats(g: Graph, cfg: GameConfig, runs: int,
-                         master_seed: int) -> CostStats:
-    """Social-cost statistics over repeated best-response dynamics runs,
-    seeds derived independently from (master_seed, run index)."""
+def empirical_cost_stats(g: Graph, cfgs: list[GameConfig], runs: int,
+                         master_seed: int) -> list[CostStats]:
+    """Social-cost statistics over repeated best-response dynamics runs, one
+    per config, seeds derived independently from (master_seed, run index).
+
+    The configs must share variant and k, so that a run's start depends on
+    its seed alone: it is drawn once per run, and each config sweeps its own
+    copy from the generator state the draw left."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    costs = []
-    passes = []
+    if len({(cfg.variant, cfg.k) for cfg in cfgs}) > 1:
+        raise ValueError("the configs must share variant and k")
+    grid = len(cfgs) > 1
+    costs = [[] for _ in cfgs]
+    passes = [[] for _ in cfgs]
     for r in range(runs):
-        result = best_response_dynamics(g, cfg, derive_seed(master_seed, r))
-        costs.append(game.social_cost(g, cfg, result.profile))
-        passes.append(result.passes)
-    return CostStats(
+        seed = derive_seed(master_seed, r)
+        start = draw_start(g, cfgs[0], seed)
+        if grid:                 # a single config skips the snapshot
+            state, order, rng = start
+            snapshot = rng.getstate()
+        for c, cfg in enumerate(cfgs):
+            if grid:
+                if c:
+                    rng.setstate(snapshot)
+                start = state.copy(cfg.xi), order, rng
+            result = best_response_dynamics(g, cfg, seed, start=start)
+            costs[c].append(game.social_cost(g, cfg, result.profile))
+            passes[c].append(result.passes)
+    return [CostStats(
         runs=runs,
-        mean_cost=statistics.fmean(costs),
-        std_cost=statistics.stdev(costs) if runs > 1 else 0.0,
-        min_cost=min(costs),
-        max_cost=max(costs),
-        mean_passes=statistics.fmean(passes),
-    )
+        mean_cost=statistics.fmean(cost),
+        std_cost=statistics.stdev(cost) if runs > 1 else 0.0,
+        min_cost=min(cost),
+        max_cost=max(cost),
+        mean_passes=statistics.fmean(npasses),
+    ) for cost, npasses in zip(costs, passes)]

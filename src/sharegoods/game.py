@@ -136,12 +136,25 @@ class State:
             elif not sgg:
                 flw[x] += 1
 
-    def sweep(self, order, randbelow=None, cases=None) -> int:
-        """Move each node of `order` that is off a best response to
-        best[randbelow(len(best))] of its best responses (ball order; a lone
-        one is drawn too, so the stream is rng.choice's), count the move's
+    def copy(self, xi: int | None) -> State:
+        """An independent copy of this state, with follower threshold xi."""
+        new = State.__new__(State)
+        new.sgg, new.xi, new.nbhd = self.sgg, xi, self.nbhd
+        new.s, new.flw = self.s[:], self.flw[:]
+        new.owners_in = self.owners_in[:]
+        return new
+
+    def sweep(self, order, getrandbits=None, cases=None) -> int:
+        """Move each node of `order` that is off a best response to a
+        uniform one of its best responses (ball order), count the move's
         case c in cases[c - 1], and return the number of moves. Without
-        randbelow, only check: return 1 at the first node off a best response.
+        getrandbits, only check: return 1 at the first node off a best
+        response.
+
+        The draw from best is best[randbelow(len(best))] written out over
+        getrandbits (b = len(best).bit_length(), redraw b bits while they
+        are >= len(best)); a lone best response is drawn too, as
+        `while getrandbits(1): pass`. So the stream is rng.choice's.
 
         SGG: free riding (b) beats buying (b - p) exactly when another owner
         is within k hops, and buying beats no access (0). SGG-AC: renting
@@ -159,9 +172,10 @@ class State:
                 x = s[i]
                 if x == (0 if owners_in[i] - x else 1):
                     continue
-                if randbelow is None:
+                if getrandbits is None:
                     return 1
-                randbelow(1)
+                while getrandbits(1):
+                    pass
                 s[i] = 1 - x
                 delta = 1 - 2 * x
                 for j in nbhd[i]:
@@ -175,10 +189,15 @@ class State:
             if owners_in[i] - (x == i) and flw[i] < xi:    # rents
                 if x != i and s[x] == x:
                     continue
-                if randbelow is None:
+                if getrandbits is None:
                     return 1
                 best = [j for j in nbhd[i] if j != i and s[j] == j]
-                new = best[randbelow(len(best))]
+                m = len(best)
+                b = m.bit_length()
+                r = getrandbits(b)
+                while r >= m:
+                    r = getrandbits(b)
+                new = best[r]
                 if x == i:
                     for j in nbhd[i]:
                         owners_in[j] -= 1
@@ -191,9 +210,10 @@ class State:
             else:                                          # buys
                 if x == i:
                     continue
-                if randbelow is None:
+                if getrandbits is None:
                     return 1
-                randbelow(1)
+                while getrandbits(1):
+                    pass
                 # i does not own yet: owners_in[i] counts only others.
                 cases[2 if owners_in[i] else 0] += 1
                 for j in nbhd[i]:

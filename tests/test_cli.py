@@ -1,5 +1,4 @@
 import csv
-import os
 
 import pytest
 
@@ -115,17 +114,6 @@ class TestCsvOutput:
         header = out.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
-    def test_worker_pool_same_output(self, tmp_path):
-        config = ExperimentConfig("karate", ng.karate(), SGG_AC, 1,
-                                  xi_values=(1, 2, 5), **SMALL)
-        serial = run_experiment(config)
-        os.environ[cli.WORKERS_ENV] = "2"
-        try:
-            parallel = run_experiment(config)
-        finally:
-            del os.environ[cli.WORKERS_ENV]
-        assert serial == parallel
-
 
 class TestConfigFile:
     def test_parse_and_run(self, tmp_path):
@@ -215,6 +203,89 @@ class TestErrors:
                             f"out = {tmp_path / 'out.csv'}\n")
         assert main(["run", str(cfg_path)]) == 2
         self.assert_one_error_line(capsys)
+
+
+# Each family's own flags with a valid value, and the keys a config file
+# spells them with.
+FAMILY_FLAGS = {
+    "star": {"--n": "6"},
+    "chain": {"--n": "6"},
+    "complete": {"--n": "4"},
+    "er_random": {"--n": "6", "--prob": "0.4", "--graph-seed": "1"},
+    "two_center_tree": {"--arm-len": "1", "--m": "2"},
+    "center_arms_tree": {"--arm-len": "1", "--m": "2"},
+    "karate": {},
+}
+CONFIG_KEYS = {"--n": "n", "--prob": "prob", "--graph-seed": "graph_seed",
+               "--arm-len": "arm_len", "--m": "m", "--k": "k", "--p": "p"}
+# (flag, value) pairs that are valid input; None stands for a missing flag.
+VALID = {("--k", None), ("--p", None), ("--prob", "0"),
+         ("--graph-seed", "0"), ("--graph-seed", "-1")}
+
+
+def bad_flag_cases():
+    """Every family with each of its flags, --k and --p missing, zero,
+    negative or non-numeric, the others valid."""
+    for family, flags in FAMILY_FLAGS.items():
+        for flag in (*flags, "--k", "--p"):
+            for value in (None, "0", "-1", "x"):
+                values = {**flags, "--k": "2", "--p": "1"}
+                if value is None:
+                    del values[flag]
+                else:
+                    values[flag] = value
+                yield family, flag, value, values
+
+
+class TestBadInput:
+    """Bad input exits 2 with an `error:` line, never a traceback."""
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:        # argparse rejects a flag
+            return exc.code
+
+    @pytest.mark.parametrize("command", ["optimum", "export-lp", "run"])
+    def test_family_flags(self, command, tmp_path, capsys):
+        for family, flag, value, values in bad_flag_cases():
+            if command == "run":
+                cfg = tmp_path / "exp.cfg"
+                cfg.write_text(f"family = {family}\nruns = 2\n" + "".join(
+                    f"{CONFIG_KEYS[f]} = {v}\n" for f, v in values.items()))
+                argv = ["run", str(cfg)]
+            else:
+                argv = [command, "--family", family]
+                for f, v in values.items():
+                    argv += [f, v]
+                if command == "export-lp":
+                    argv += ["--out", str(tmp_path / "g.lp")]
+            code = self.exit_code(argv)
+            err = capsys.readouterr().err
+            case = (command, family, flag, value)
+            assert code == (0 if (flag, value) in VALID else 2), case
+            assert "Traceback" not in err, case
+            assert err.count("error:") == (code == 2), case
+
+    @pytest.mark.parametrize("flag", ["--runs", "--seed"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_preset_flags(self, flag, value, tmp_path, capsys):
+        argv = ["preset", "table4_karate", "--runs", "2",
+                "--out", str(tmp_path / "t.csv"), flag, value]
+        code = self.exit_code(argv)
+        assert code == (0 if flag == "--seed" and value != "x" else 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (code == 0) == ("error:" not in err)
+
+    def test_er_random_without_prob(self, tmp_path, capsys):
+        """Formerly a TypeError from labelling the graph before building it."""
+        family = ["--family", "er_random", "--n", "5", "--graph-seed", "1"]
+        assert main(["optimum", *family]) == 2
+        assert main(["export-lp", *family, "--out", str(tmp_path / "g.lp")]) == 2
+        assert capsys.readouterr().err == \
+            "error: family 'er_random' requires 'prob'\n" * 2
 
 
 class TestSubcommands:

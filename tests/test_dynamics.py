@@ -5,7 +5,8 @@ import pytest
 from _oracles import disjoint_union, is_nash, random_graph, reference_dynamics
 from sharegoods import game
 from sharegoods import netgraph as ng
-from sharegoods.dynamics import best_response_dynamics, derive_seed, stabilize
+from sharegoods.dynamics import (best_response_dynamics, derive_seed,
+                                draw_start, stabilize)
 from sharegoods.game import SGG, SGG_AC, GameConfig, VariantError
 
 
@@ -161,6 +162,39 @@ def test_choice_is_randbelow_index():
             for _ in range(5):
                 assert a.choice(seq) == seq[b._randbelow(len(seq))]
             assert a.getstate() == b.getstate()
+
+
+def test_getrandbits_loop_is_randbelow():
+    """The dynamics write rng._randbelow(n) out as a getrandbits loop; this
+    fails on a Python whose randbelow draws otherwise."""
+    for seed in range(20):
+        for n in range(1, 41):
+            a, b = random.Random(seed), random.Random(seed)
+            getrandbits = b.getrandbits
+            for _ in range(5):
+                bits = n.bit_length()
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                assert a._randbelow(n) == r
+            assert a.getstate() == b.getstate()
+
+
+def test_start_order_is_shuffle():
+    """`draw_start` writes rng.shuffle out over getrandbits; an SGG start
+    draws nothing else, so its order and generator state must be those of
+    rng.shuffle(list(range(n)))."""
+    cfg = GameConfig(SGG, 1)
+    for n in range(121):
+        g = ng.Graph(n, [])
+        for seed in (0, n, 2 ** 64 - 1 - n):
+            rng = random.Random(seed)
+            order = list(range(n))
+            rng.shuffle(order)
+            state, got, start_rng = draw_start(g, cfg, seed)
+            assert got == order, (n, seed)
+            assert start_rng.getstate() == rng.getstate()
+            assert state.s == [0] * n
 
 
 def test_derive_seed_distinct_streams():

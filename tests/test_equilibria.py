@@ -4,9 +4,10 @@ import pytest
 
 from _oracles import (brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
                       brute_force_sggac_ne_owner_sets, disjoint_union,
-                      is_nash, random_graph)
-from sharegoods import game
+                      is_nash, random_graph, reference_dynamics)
+from sharegoods import equilibria, game
 from sharegoods import netgraph as ng
+from sharegoods.dynamics import best_response_dynamics
 from sharegoods.equilibria import (_sggac_ne_masks, empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
@@ -188,23 +189,70 @@ class TestEmpiricalStats:
     def test_deterministic(self):
         g = ng.karate()
         cfg = GameConfig(SGG_AC, 1, xi=2)
-        a = empirical_cost_stats(g, cfg, 50, 7)
-        b = empirical_cost_stats(g, cfg, 50, 7)
+        a = empirical_cost_stats(g, [cfg], 50, 7)[0]
+        b = empirical_cost_stats(g, [cfg], 50, 7)[0]
         assert a == b
 
     def test_fields(self):
         g = ng.chain(20)
         cfg = GameConfig(SGG, 1)
-        stats = empirical_cost_stats(g, cfg, 25, 0)
+        stats = empirical_cost_stats(g, [cfg], 25, 0)[0]
         assert stats.runs == 25
         assert stats.min_cost <= stats.mean_cost <= stats.max_cost
         assert stats.std_cost >= 0
         assert 0 <= stats.mean_passes <= 3
 
     def test_single_run(self):
-        stats = empirical_cost_stats(ng.star(5), GameConfig(SGG, 1), 1, 0)
+        stats = empirical_cost_stats(ng.star(5), [GameConfig(SGG, 1)], 1, 0)[0]
         assert stats.std_cost == 0.0
 
     def test_runs_guard(self):
         with pytest.raises(ValueError):
-            empirical_cost_stats(ng.star(5), GameConfig(SGG, 1), 0, 0)
+            empirical_cost_stats(ng.star(5), [GameConfig(SGG, 1)], 0, 0)
+
+    def test_grid_shares_variant_and_k(self):
+        for cfgs in ([GameConfig(SGG, 1), GameConfig(SGG_AC, 1, xi=2)],
+                     [GameConfig(SGG_AC, 1, xi=2), GameConfig(SGG_AC, 2, xi=2)]):
+            with pytest.raises(ValueError):
+                empirical_cost_stats(ng.star(5), cfgs, 2, 0)
+
+    def test_grid_equals_single_configs(self, monkeypatch):
+        """A grid run shares each run's start across its configs; every
+        (run, config) result must equal the reference dynamics run alone
+        on that seed, and each config's stats a call with it alone."""
+        results = []
+
+        def recorded(g, cfg, seed, **kwargs):
+            result = best_response_dynamics(g, cfg, seed, **kwargs)
+            results.append((g, cfg, seed, result))
+            return result
+        monkeypatch.setattr(equilibria, "best_response_dynamics", recorded)
+        rng = random.Random(23)
+        seen = set()
+        for trial in range(60):
+            g = disjoint_union(random_graph(rng, rng.randint(0, 25),
+                                            rng.random() * 0.4),
+                               isolated=rng.randint(0, 3))
+            if trial < 12:                 # every kind at n = 0 and n = 1
+                g = ng.Graph(trial % 2, [])
+            k = rng.randint(1, 3)
+            kind = trial % 3
+            if kind == 0:
+                cfgs = [GameConfig(SGG, k), GameConfig(SGG, k, b=3, p=2)]
+            else:
+                cfgs = [GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 5, 10, 20)]
+                if kind == 2:
+                    cfgs.append(GameConfig(SGG_AC, k, a=0.45))
+            runs = rng.randint(1, 6)
+            seed = rng.getrandbits(32)
+            del results[:]
+            grid = empirical_cost_stats(g, cfgs, runs, seed)
+            assert len(results) == runs * len(cfgs)
+            for g_, cfg, run_seed, result in results:
+                assert result == reference_dynamics(g_, cfg, run_seed), \
+                    (trial, cfg)
+            singles = [empirical_cost_stats(g, [cfg], runs, seed)[0]
+                       for cfg in cfgs]
+            assert grid == singles, (trial, cfgs)
+            seen.add((kind, k))
+        assert len(seen) == 9

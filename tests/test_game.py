@@ -221,29 +221,37 @@ class TestStateRule:
     @staticmethod
     def drawn_list(g, cfg, s, i):
         """What a one-node sweep of i draws from, recovered by sweeping
-        fresh copies with draws 0, 1, ... in turn; None if i does not
-        move. Each move must leave the counts of a freshly built State."""
-        drawn, sizes = [], []
-
-        def randbelow(size):
-            sizes.append(size)
-            return len(drawn)
+        fresh copies with getrandbits replaying randbelow's draws 0, 1, ...
+        in turn until one is rejected, which happens at the list's length;
+        None if i does not move. Each move must leave the counts of a
+        freshly built State."""
+        drawn, bits = [], []
         while True:
+            calls = []
+
+            def getrandbits(k):
+                calls.append(k)
+                r = len(drawn) if len(calls) == 1 else 0
+                assert r < 1 << k
+                return r
             state = State(g, cfg, list(s))
             cases = [0, 0, 0, 0]
-            moves = state.sweep([i], randbelow, cases)
+            moves = state.sweep([i], getrandbits, cases)
             if not moves:
-                assert not sizes and state.s == s and cases == [0] * 4
+                assert not calls and state.s == s and cases == [0] * 4
                 return None
             assert moves == 1 and sum(cases) == 1
             fresh = State(g, cfg, list(state.s))
             assert (state.flw, state.owners_in) == (fresh.flw,
                                                     fresh.owners_in)
             assert state.s[:i] + state.s[i + 1:] == s[:i] + s[i + 1:]
-            drawn.append(state.s[i])
-            if len(drawn) == sizes[0]:
-                assert sizes == [sizes[0]] * len(drawn)
+            bits.append(calls[0])
+            if len(calls) == 2:          # len(drawn) rejected, 0 taken
+                assert drawn and state.s[i] == drawn[0]
+                assert bits == [len(drawn).bit_length()] * len(bits)
                 return drawn
+            assert len(calls) == 1
+            drawn.append(state.s[i])
 
     def test_matches_oracle(self):
         rng = random.Random(41)
