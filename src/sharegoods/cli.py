@@ -106,12 +106,14 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
     opt = None
     if "optimum" in analyses or "stabilize" in analyses:
         opt = _optimum(g, config.k, config.p)
-    stats = [None] * len(pairs)
+    cfgs = [cfg for _, cfg in pairs]
+    stats = reports = [None] * len(pairs)
     if "dynamics" in analyses:
-        stats = empirical_cost_stats(g, [cfg for _, cfg in pairs],
-                                     config.runs, config.master_seed)
+        stats = empirical_cost_stats(g, cfgs, config.runs, config.master_seed)
+    if "exact_efficiency" in analyses:
+        reports = exact_efficiency(g, cfgs)
     rows = []
-    for (xi, cfg), st in zip(pairs, stats):
+    for (xi, cfg), st, report in zip(pairs, stats, reports):
         row = {c: "" for c in CSV_COLUMNS}
         row.update(dataset=config.dataset, n=g.n, edges=g.edge_count,
                    variant=cfg.variant, k=cfg.k, b=cfg.b, p=cfg.p,
@@ -128,8 +130,7 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
             row["min_cost"] = st.min_cost
             row["max_cost"] = st.max_cost
             row["mean_passes"] = st.mean_passes
-        if "exact_efficiency" in analyses:
-            report = exact_efficiency(g, cfg)
+        if report is not None:
             row["opt_cost"] = report.opt_cost
             row["poa_exact"] = report.poa
             row["pos_exact"] = report.pos
@@ -146,11 +147,6 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
             print(f"export_lp {config.dataset} k={cfg.k} -> {path}")
         rows.append(row)
     return rows
-
-
-def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """One CSV row per (graph, variant, xi); deterministic row order."""
-    return compute_row(config)
 
 
 def _write_rows(rows: list[dict], fh) -> None:
@@ -332,7 +328,7 @@ def main(argv=None) -> int:
                 if override is not None:
                     values[key] = str(override)
             config = config_from_values(values)
-            rows = run_experiment(config)
+            rows = compute_row(config)
             if config.out:
                 write_csv(rows, config.out)
                 print(f"wrote {len(rows)} rows to {config.out}")
@@ -343,7 +339,7 @@ def main(argv=None) -> int:
                               master_seed=args.seed, out=args.out)
             rows = []
             for config in configs:
-                rows.extend(run_experiment(config))
+                rows.extend(compute_row(config))
             write_csv(rows, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
         else:                    # optimum, export-lp

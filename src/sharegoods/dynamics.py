@@ -12,8 +12,9 @@ Every draw is written out over `rng.getrandbits`, as CPython's
 `random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
 `r = getrandbits(b)` redrawn while r >= m; `choice(seq)` is
 seq[randbelow(len(seq))], and `shuffle` swaps x[i] with x[randbelow(i + 1)]
-for i = n-1 .. 1. So a run's stream is the one `rng.choice` and
-`rng.shuffle` would draw.
+for i = n-1 .. 1. So an SGG-AC run's stream is the one `rng.choice` and
+`rng.shuffle` would draw. An SGG run draws only its shuffle: each SGG move
+has one best response, so it draws nothing.
 """
 
 from __future__ import annotations

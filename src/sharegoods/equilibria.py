@@ -1,12 +1,11 @@
 """Efficiency analysis: exact equilibrium enumeration on small graphs,
-owner-set feasibility for the access-cost game via max flow, worst/best
-equilibrium ratios, and Monte Carlo cost statistics from the dynamics.
+owner-set feasibility for the access-cost game as a capacitated matching,
+worst/best equilibrium ratios, and Monte Carlo cost statistics.
 """
 
 from __future__ import annotations
 
 import statistics
-from collections import deque
 from dataclasses import dataclass
 
 from . import game
@@ -26,7 +25,6 @@ class EfficiencyReport:
     best_ne_cost: float
     poa: float
     pos: float
-    exact: bool
 
 
 @dataclass
@@ -37,61 +35,6 @@ class CostStats:
     min_cost: float
     max_cost: float
     mean_passes: float
-
-
-class _MaxFlow:
-    """Shortest-augmenting-path max flow (Dinic); tiny instances only."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.size
-            level[s] = 0
-            dq = deque([s])
-            while dq:
-                v = dq.popleft()
-                for e in self.adj[v]:
-                    if self.cap[e] > 0 and level[self.to[e]] == -1:
-                        level[self.to[e]] = level[v] + 1
-                        dq.append(self.to[e])
-            if level[t] == -1:
-                return flow
-            it = [0] * self.size
-
-            def dfs(v: int, pushed: int) -> int:
-                if v == t:
-                    return pushed
-                while it[v] < len(self.adj[v]):
-                    e = self.adj[v][it[v]]
-                    w = self.to[e]
-                    if self.cap[e] > 0 and level[w] == level[v] + 1:
-                        got = dfs(w, min(pushed, self.cap[e]))
-                        if got > 0:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[v] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
-                    break
-                flow += pushed
 
 
 def _dominating_owner_sets(cov: list[int], admit) -> list[int]:
@@ -128,15 +71,14 @@ def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
-def enumerate_ne_owner_sets_sgg(g: Graph, k: int,
-                                max_n: int = DEFAULT_MAX_N_SGG) -> list[frozenset]:
+def enumerate_ne_owner_sets_sgg(g: Graph, k: int) -> list[frozenset]:
     """All k-independent dominating sets, by pruned backtracking over nodes.
 
     Prunes branches that violate independence and branches where some node
     can no longer be dominated by any undecided candidate.
     """
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds max_n={max_n}")
+    if g.n > DEFAULT_MAX_N_SGG:
+        raise ValueError(f"n={g.n} exceeds max_n={DEFAULT_MAX_N_SGG}")
     cov = cover_masks(g, k)
     # Distances are symmetric: i is k-independent of the chosen owners iff
     # none lies in i's own ball.
@@ -151,7 +93,7 @@ def _sggac_ne_masks(g: Graph, k: int, xi: int) -> list[int]:
     """Owner sets of all SGG-AC equilibria, as bitmasks.
 
     Candidates are the dominating sets that pass a follower-capacity prune;
-    max-flow feasibility decides each one. An owner is contested when
+    sggac_owner_set_feasible decides each one. An owner is contested when
     another owner lies within k hops. Every contested owner needs xi
     followers among the non-owners of its closed k-ball, and the contested
     owners together need xi times their number of non-owners. Adding
@@ -183,48 +125,35 @@ def sggac_witness_profile(g: Graph, k: int, xi: int,
     """A strategy profile witnessing that owner_set supports an SGG-AC
     equilibrium, or None if none exists.
 
-    The owner set must be distance-k dominating and there must exist an
-    assignment of non-owners to reachable owners giving every contested
-    owner (one with another owner within k hops) at least xi followers.
-    Decided by max flow; uncontested owners absorb leftovers.
+    Each non-owner follows its lowest-id owner in range, and there must be
+    one. Each contested owner (one with another owner within k hops) then
+    claims xi followers by Kuhn's augmenting paths, re-routing a claimed
+    follower whose holder can claim another. A claim that fails now fails
+    after later claims too, so the first failure decides.
     """
     owner_set = set(owner_set)
-    if not game.is_distance_k_dominating(g, k, owner_set):
-        return None
     nbhd = g.closed_neighborhoods(k)
+    s = list(range(g.n))
+    held = [False] * g.n         # claimed by a contested owner
+    for v in range(g.n):
+        if v not in owner_set:
+            s[v] = next((o for o in nbhd[v] if o in owner_set), None)
+            if s[v] is None:
+                return None
+
+    def claim(o: int, seen: set[int]) -> bool:
+        for v in nbhd[o]:
+            if v not in owner_set and v not in seen:
+                seen.add(v)
+                if not held[v] or claim(s[v], seen):
+                    s[v], held[v] = o, True
+                    return True
+        return False
+
     contested = [o for o in sorted(owner_set)
                  if any(j != o and j in owner_set for j in nbhd[o])]
-    non_owners = [v for v in range(g.n) if v not in owner_set]
-    assignment: dict[int, int] = {}
-    if contested:
-        src = 0
-        non_base = 1
-        own_base = 1 + len(non_owners)
-        sink = own_base + len(contested)
-        net = _MaxFlow(sink + 1)
-        c_index = {o: idx for idx, o in enumerate(contested)}
-        arc_info = []  # (edge index, non-owner, owner)
-        for ni, v in enumerate(non_owners):
-            net.add_edge(src, non_base + ni, 1)
-            for o in nbhd[v]:
-                if o != v and o in c_index:
-                    arc_info.append((len(net.to), v, o))
-                    net.add_edge(non_base + ni, own_base + c_index[o], 1)
-        for idx in range(len(contested)):
-            net.add_edge(own_base + idx, sink, xi)
-        need = xi * len(contested)
-        if net.max_flow(src, sink) < need:
-            return None
-        for e, v, o in arc_info:
-            if net.cap[e] == 0:  # saturated forward arc -> assigned
-                assignment[v] = o
-    s = list(range(g.n))
-    for v in non_owners:
-        if v in assignment:
-            s[v] = assignment[v]
-        else:
-            s[v] = min(o for o in nbhd[v] if o != v and o in owner_set)
-    return s
+    return s if all(claim(o, set()) for o in contested
+                    for _ in range(xi)) else None
 
 
 def sggac_owner_set_feasible(g: Graph, k: int, xi: int,
@@ -233,27 +162,36 @@ def sggac_owner_set_feasible(g: Graph, k: int, xi: int,
     return sggac_witness_profile(g, k, xi, owner_set) is not None
 
 
-def exact_efficiency(g: Graph, cfg: GameConfig,
-                     max_n: int | None = None) -> EfficiencyReport:
-    """Exact worst/best equilibrium costs against the optimum."""
-    if max_n is None:
-        max_n = DEFAULT_MAX_N_SGG if cfg.variant == SGG else DEFAULT_MAX_N_SGGAC
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds max_n={max_n}")
+def exact_efficiency(g: Graph,
+                     cfgs: list[GameConfig]) -> list[EfficiencyReport]:
+    """Exact worst/best equilibrium costs against the optimum, one report
+    per config. The configs must share k and p, so that the optimum is
+    computed once."""
+    if len({(cfg.k, cfg.p) for cfg in cfgs}) > 1:
+        raise ValueError("the configs must share k and p")
+    for cfg in cfgs:
+        max_n = (DEFAULT_MAX_N_SGG if cfg.variant == SGG
+                 else DEFAULT_MAX_N_SGGAC)
+        if g.n > max_n:
+            raise ValueError(f"n={g.n} exceeds max_n={max_n}")
     if g.n == 0:
         raise ValueError("exact_efficiency needs a graph with at least one "
                          "node")
-    opt = min_dominating_exact(g, cfg.k, p=cfg.p)
-    if cfg.variant == SGG:
-        sizes = [len(s) for s in enumerate_ne_owner_sets_sgg(g, cfg.k, max_n)]
-    else:
-        # Bitmasks: thousands of frozensets would cost megabytes.
-        sizes = [m.bit_count() for m in _sggac_ne_masks(g, cfg.k, cfg.xi)]
-    worst = cfg.p * max(sizes)
-    best = cfg.p * min(sizes)
-    return EfficiencyReport(opt_cost=opt.cost, worst_ne_cost=worst,
-                            best_ne_cost=best, poa=worst / opt.cost,
-                            pos=best / opt.cost, exact=True)
+    opt = min_dominating_exact(g, cfgs[0].k, p=cfgs[0].p)
+    reports = []
+    for cfg in cfgs:
+        if cfg.variant == SGG:
+            sizes = [len(s) for s in enumerate_ne_owner_sets_sgg(g, cfg.k)]
+        else:
+            # Bitmasks: thousands of frozensets would cost megabytes.
+            masks = _sggac_ne_masks(g, cfg.k, cfg.xi)
+            sizes = [m.bit_count() for m in masks]
+        worst = cfg.p * max(sizes)
+        best = cfg.p * min(sizes)
+        reports.append(EfficiencyReport(
+            opt_cost=opt.cost, worst_ne_cost=worst, best_ne_cost=best,
+            poa=worst / opt.cost, pos=best / opt.cost))
+    return reports
 
 
 def empirical_cost_stats(g: Graph, cfgs: list[GameConfig], runs: int,

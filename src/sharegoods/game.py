@@ -151,10 +151,10 @@ class State:
         getrandbits, only check: return 1 at the first node off a best
         response.
 
-        The draw from best is best[randbelow(len(best))] written out over
-        getrandbits (b = len(best).bit_length(), redraw b bits while they
-        are >= len(best)); a lone best response is drawn too, as
-        `while getrandbits(1): pass`. So the stream is rng.choice's.
+        An SGG-AC move draws best[randbelow(len(best))] over getrandbits
+        (b = len(best).bit_length(), redraw b bits while >= len(best)); a
+        buy, its lone best response, draws `while getrandbits(1): pass`. So
+        the stream is rng.choice's. SGG moves (to 1 - s_i) draw nothing.
 
         SGG: free riding (b) beats buying (b - p) exactly when another owner
         is within k hops, and buying beats no access (0). SGG-AC: renting
@@ -174,8 +174,6 @@ class State:
                     continue
                 if getrandbits is None:
                     return 1
-                while getrandbits(1):
-                    pass
                 s[i] = 1 - x
                 delta = 1 - 2 * x
                 for j in nbhd[i]:

@@ -40,10 +40,9 @@ class Graph:
     the dynamics and solvers query them heavily.
     """
 
-    __slots__ = ("n", "_adj", "_edges", "_nbhd_cache", "original_ids")
+    __slots__ = ("n", "_adj", "_edges", "_nbhd_cache")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 original_ids: tuple[int, ...] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("node count must be non-negative")
         edge_set = set()
@@ -61,7 +60,6 @@ class Graph:
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._edges = frozenset(edge_set)
         self._nbhd_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self.original_ids = original_ids
 
     @property
     def edges(self) -> frozenset:
@@ -153,10 +151,8 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
         raw_edges.append((u, v))
         ids.add(u)
         ids.add(v)
-    order = tuple(sorted(ids))
-    remap = {orig: i for i, orig in enumerate(order)}
-    return Graph(len(order), [(remap[u], remap[v]) for u, v in raw_edges],
-                 original_ids=order)
+    remap = {orig: i for i, orig in enumerate(sorted(ids))}
+    return Graph(len(remap), [(remap[u], remap[v]) for u, v in raw_edges])
 
 
 def star(n: int) -> Graph:

@@ -4,8 +4,8 @@ import pytest
 
 from sharegoods import cli
 from sharegoods import netgraph as ng
-from sharegoods.cli import (CSV_COLUMNS, ExperimentConfig, config_from_values,
-                            main, presets, run_experiment, write_csv)
+from sharegoods.cli import (CSV_COLUMNS, ExperimentConfig, compute_row,
+                            config_from_values, main, presets, write_csv)
 from sharegoods.game import SGG, SGG_AC
 from sharegoods.netgraph import ConfigError
 from sharegoods.optimum import min_dominating_exact
@@ -23,7 +23,7 @@ class TestPresets:
         configs = presets("table3_karate", runs=5)
         rows = []
         for c in configs:
-            rows.extend(run_experiment(c))
+            rows.extend(compute_row(c))
         assert len(rows) == 6  # SGG + five xi values
         assert [r["xi"] for r in rows] == ["", 1, 2, 5, 10, 20]
 
@@ -31,7 +31,7 @@ class TestPresets:
         configs = presets("table4_karate", runs=5)
         rows = []
         for c in configs:
-            rows.extend(run_experiment(c))
+            rows.extend(compute_row(c))
         assert len(rows) == 6
         assert sorted({r["k"] for r in rows}) == [2, 3, 4]
         assert {r["variant"] for r in rows} == {SGG, SGG_AC}
@@ -65,7 +65,7 @@ class TestRunExperiment:
     def test_row_schema(self):
         config = ExperimentConfig("karate", ng.karate(), SGG_AC, 1,
                                   xi_values=(1, 2), **SMALL)
-        rows = run_experiment(config)
+        rows = compute_row(config)
         assert len(rows) == 2
         for row in rows:
             assert list(row) == CSV_COLUMNS
@@ -75,13 +75,13 @@ class TestRunExperiment:
 
     def test_sgg_leaves_ac_columns_empty(self):
         config = ExperimentConfig("chain(10)", ng.chain(10), SGG, 1, **SMALL)
-        row = run_experiment(config)[0]
+        row = compute_row(config)[0]
         assert row["a"] == "" and row["xi"] == ""
 
     def test_exact_efficiency_analysis(self):
         config = ExperimentConfig("star(8)", ng.star(8), SGG, 1,
                                   analyses=("exact_efficiency",), **SMALL)
-        row = run_experiment(config)[0]
+        row = compute_row(config)[0]
         assert row["poa_exact"] == 7.0 and row["pos_exact"] == 1.0
         assert row["mean_cost"] == ""
 
@@ -103,14 +103,14 @@ class TestCsvOutput:
         for out in (out1, out2):
             config = ExperimentConfig("karate", ng.karate(), SGG_AC, 1,
                                       xi_values=(2,), **SMALL)
-            write_csv(run_experiment(config), out)
+            write_csv(compute_row(config), out)
         assert out1.read_bytes() == out2.read_bytes()
         assert b"\r" not in out1.read_bytes()
 
     def test_header(self, tmp_path):
         out = tmp_path / "h.csv"
         config = ExperimentConfig("chain(5)", ng.chain(5), SGG, 1, **SMALL)
-        write_csv(run_experiment(config), out)
+        write_csv(compute_row(config), out)
         header = out.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
@@ -315,7 +315,7 @@ class TestSubcommands:
                                   xi_values=(2,),
                                   analyses=("optimum", "stabilize"),
                                   out=str(out), **SMALL)
-        rows = run_experiment(config)
+        rows = compute_row(config)
         assert rows[0]["opt_cost"] == 1.0
         produced = list(out.parent.glob("*.stabilized.profile"))
         assert len(produced) == 1

@@ -13,6 +13,7 @@ from sharegoods.equilibria import (_sggac_ne_masks, empirical_cost_stats,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
 from sharegoods.game import SGG, SGG_AC, GameConfig
+from sharegoods.optimum import min_dominating_exact
 
 
 class TestEnumeration:
@@ -34,7 +35,7 @@ class TestEnumeration:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            enumerate_ne_owner_sets_sgg(ng.chain(25), 1, max_n=20)
+            enumerate_ne_owner_sets_sgg(ng.chain(25), 1)
 
     def test_matches_brute_force(self):
         rng = random.Random(17)
@@ -79,10 +80,25 @@ class TestSggacFeasibility:
 
     def test_matches_brute_force(self):
         rng = random.Random(29)
+        cases = []
         for _ in range(10):
             g = random_graph(rng, rng.randint(2, 6), rng.random())
-            k = rng.randint(1, 2)
-            xi = rng.randint(1, 3)
+            cases.append((g, rng.randint(1, 2), rng.randint(1, 3)))
+        # Up to 7 nodes in two random parts plus isolated nodes.
+        for _ in range(30):
+            n1 = rng.randint(1, 6)
+            n2 = rng.randint(0, 6 - n1)
+            g = disjoint_union(random_graph(rng, n1, rng.random()),
+                               random_graph(rng, n2, rng.random()),
+                               isolated=rng.randint(0, 7 - n1 - n2))
+            cases.append((g, rng.randint(1, 3), rng.randint(1, 4)))
+        # Owners 0 and 1 contest each other. Owner 0 claims 2 first, the
+        # only follower 1 can reach, so 1's claim must move 2 over and
+        # re-route 0 to 3; a first-come assignment finds no witness.
+        reroute = ng.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        assert sggac_owner_set_feasible(reroute, 1, 1, {0, 1})
+        cases.append((reroute, 1, 1))
+        for g, k, xi in cases:
             cfg = GameConfig(SGG_AC, k, xi=xi)
             for mask in range(1, 1 << g.n):
                 owner_set = {i for i in range(g.n) if (mask >> i) & 1}
@@ -110,28 +126,28 @@ class TestSggacEnumeration:
                     assert {frozenset(i for i in range(g.n) if m >> i & 1)
                             for m in masks} == expected
                     sizes = [len(s) for s in expected]
-                    report = exact_efficiency(g, cfg)
+                    report = exact_efficiency(g, [cfg])[0]
                     assert report.worst_ne_cost == max(sizes)
                     assert report.best_ne_cost == min(sizes)
 
 
 class TestExactEfficiency:
     def test_star10_sgg(self):
-        report = exact_efficiency(ng.star(10), GameConfig(SGG, 1))
+        report = exact_efficiency(ng.star(10), [GameConfig(SGG, 1)])[0]
         assert report.opt_cost == 1
         assert report.best_ne_cost == 1
         assert report.worst_ne_cost == 9
         assert report.poa == 9 and report.pos == 1
-        assert report.exact
 
     def test_figure1_sgg(self, figure1_graph):
-        report = exact_efficiency(figure1_graph, GameConfig(SGG, 1))
+        report = exact_efficiency(figure1_graph, [GameConfig(SGG, 1)])[0]
         assert report.opt_cost == 1
         assert report.pos == 1 and report.poa == 4
 
     def test_complete6_sggac(self):
         # complete graph on m(xi+1) nodes with m=2, xi=2
-        report = exact_efficiency(ng.complete(6), GameConfig(SGG_AC, 1, xi=2))
+        report = exact_efficiency(ng.complete(6),
+                                  [GameConfig(SGG_AC, 1, xi=2)])[0]
         assert report.opt_cost == 1
         assert report.worst_ne_cost == 2
         assert report.poa == 2
@@ -141,13 +157,43 @@ class TestExactEfficiency:
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 8), rng.random())
             for cfg in (GameConfig(SGG, 1), GameConfig(SGG_AC, 1, xi=2)):
-                report = exact_efficiency(g, cfg)
+                report = exact_efficiency(g, [cfg])[0]
                 assert 1 <= report.pos <= report.poa
                 assert report.opt_cost <= report.best_ne_cost
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            exact_efficiency(ng.chain(30), GameConfig(SGG, 1))
+            exact_efficiency(ng.chain(30), [GameConfig(SGG, 1)])
+
+    def test_grid_equals_single_configs(self, monkeypatch):
+        """A grid computes the optimum once and returns the reports of one
+        call per config."""
+        calls = []
+
+        def counted(g, k, p=1.0):
+            calls.append((g, k, p))
+            return min_dominating_exact(g, k, p=p)
+        monkeypatch.setattr(equilibria, "min_dominating_exact", counted)
+        rng = random.Random(43)
+        for _ in range(12):
+            g = disjoint_union(random_graph(rng, rng.randint(1, 7),
+                                            rng.random()),
+                               isolated=rng.randint(0, 2))
+            k = rng.randint(1, 3)
+            p = rng.choice((1.0, 1.5))
+            cfgs = [GameConfig(SGG, k, p=p)] + [
+                GameConfig(SGG_AC, k, p=p, xi=xi) for xi in (1, 2, 4)]
+            singles = [exact_efficiency(g, [cfg])[0] for cfg in cfgs]
+            del calls[:]
+            assert exact_efficiency(g, cfgs) == singles
+            assert len(calls) == 1
+
+    def test_grid_shares_k_and_p(self):
+        for cfgs in ([GameConfig(SGG, 1), GameConfig(SGG, 2)],
+                     [GameConfig(SGG_AC, 1, xi=2),
+                      GameConfig(SGG_AC, 1, p=1.5, xi=2)]):
+            with pytest.raises(ValueError):
+                exact_efficiency(ng.star(5), cfgs)
 
 
 class TestBoundFamilies:

@@ -223,8 +223,9 @@ class TestStateRule:
         """What a one-node sweep of i draws from, recovered by sweeping
         fresh copies with getrandbits replaying randbelow's draws 0, 1, ...
         in turn until one is rejected, which happens at the list's length;
-        None if i does not move. Each move must leave the counts of a
-        freshly built State."""
+        None if i does not move. An SGG move must draw nothing and land on
+        1 - s_i, its one best response. Each move must leave the counts of
+        a freshly built State."""
         drawn, bits = [], []
         while True:
             calls = []
@@ -245,6 +246,9 @@ class TestStateRule:
             assert (state.flw, state.owners_in) == (fresh.flw,
                                                     fresh.owners_in)
             assert state.s[:i] + state.s[i + 1:] == s[:i] + s[i + 1:]
+            if cfg.variant == SGG:
+                assert not calls and state.s[i] == 1 - s[i]
+                return [state.s[i]]
             bits.append(calls[0])
             if len(calls) == 2:          # len(drawn) rejected, 0 taken
                 assert drawn and state.s[i] == drawn[0]

@@ -18,7 +18,6 @@ class TestLoadEdgeList:
         g = load_edge_list("5 7\n7 5\n# c")
         assert g.n == 2
         assert g.edges == frozenset({(0, 1)})
-        assert g.original_ids == (5, 7)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
