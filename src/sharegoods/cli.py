@@ -7,7 +7,7 @@ import argparse
 import csv
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import game, netgraph
@@ -41,14 +41,18 @@ class ExperimentConfig:
     master_seed: int = 0
     analyses: tuple[str, ...] = ("optimum", "dynamics")
     out: str | None = None
+    # One GameConfig per CSV row: one per xi value, or one without xi.
+    cfgs: list[GameConfig] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.variant == SGG_AC and (self.a is None) == (not self.xi_values):
-            raise ConfigError("SGG-AC needs exactly one of a / xi")
-        if self.variant == SGG and (self.a is not None or self.xi_values):
-            raise ConfigError("a / xi apply only to SGG-AC")
+        try:
+            self.cfgs = [GameConfig(self.variant, self.k, b=self.b, p=self.p,
+                                    a=self.a, xi=xi)
+                         for xi in self.xi_values or (None,)]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         unknown = set(self.analyses) - set(KNOWN_ANALYSES)
         if unknown:
             raise ConfigError(f"unknown analyses: {sorted(unknown)}")
@@ -64,17 +68,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def _game_configs(config: ExperimentConfig):
-    """(xi, GameConfig) pairs for the rows of this experiment."""
-    if config.variant == SGG:
-        return [(None, GameConfig(SGG, config.k, b=config.b, p=config.p))]
-    if config.a is not None:
-        cfg = GameConfig(SGG_AC, config.k, b=config.b, p=config.p, a=config.a)
-        return [(cfg.xi, cfg)]
-    return [(xi, GameConfig(SGG_AC, config.k, b=config.b, p=config.p, xi=xi))
-            for xi in config.xi_values]
 
 
 def _side_path(config: ExperimentConfig, xi, suffix: str) -> Path:
@@ -101,19 +94,18 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
     dynamics of all rows run together, so each run's start is drawn once
     for the whole xi grid."""
     g = config.graph
-    pairs = _game_configs(config)
+    cfgs = config.cfgs
     analyses = config.analyses
     opt = None
     if "optimum" in analyses or "stabilize" in analyses:
         opt = _optimum(g, config.k, config.p)
-    cfgs = [cfg for _, cfg in pairs]
-    stats = reports = [None] * len(pairs)
+    stats = reports = [None] * len(cfgs)
     if "dynamics" in analyses:
         stats = empirical_cost_stats(g, cfgs, config.runs, config.master_seed)
     if "exact_efficiency" in analyses:
         reports = exact_efficiency(g, cfgs)
     rows = []
-    for (xi, cfg), st, report in zip(pairs, stats, reports):
+    for cfg, st, report in zip(cfgs, stats, reports):
         row = {c: "" for c in CSV_COLUMNS}
         row.update(dataset=config.dataset, n=g.n, edges=g.edge_count,
                    variant=cfg.variant, k=cfg.k, b=cfg.b, p=cfg.p,
@@ -137,12 +129,12 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
         if "stabilize" in analyses and cfg.variant == SGG_AC:
             profile = stabilize(g, cfg, opt.owners)
             cost = game.social_cost(g, cfg, profile)
-            path = _side_path(config, xi, ".stabilized.profile")
+            path = _side_path(config, cfg.xi, ".stabilized.profile")
             path.write_text(game.serialize_profile(profile))
             print(f"stabilize {config.dataset} xi={cfg.xi}: "
                   f"cost={_fmt(cost)} -> {path}")
         if "export_lp" in analyses:
-            path = _side_path(config, xi, ".lp")
+            path = _side_path(config, cfg.xi, ".lp")
             path.write_text(export_ilp(g, cfg.k, cfg.p))
             print(f"export_lp {config.dataset} k={cfg.k} -> {path}")
         rows.append(row)
@@ -225,7 +217,7 @@ def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
         g = netgraph.load_edge_list(Path(path).read_text())
         return Path(path).name, g
     if "family" not in values:
-        raise ConfigError("config needs either 'family' or 'edge_list'")
+        raise ConfigError("the graph needs either a family or an edge list")
     spec = FamilySpec(
         family=values["family"],
         n=int(values["n"]) if "n" in values else None,
@@ -263,20 +255,19 @@ def config_from_values(values: dict) -> ExperimentConfig:
     )
 
 
+# The config keys of the graph; each family flag stores into its key.
+GRAPH_KEYS = ("edge_list", "family", "n", "m", "arm_len", "prob",
+              "graph_seed")
+
+
 def _family_graph_from_args(args) -> tuple[str, Graph]:
-    if args.graph:
-        g = netgraph.load_edge_list(Path(args.graph).read_text())
-        return Path(args.graph).name, g
-    if not args.family:
-        raise ConfigError("give --family or --graph")
-    spec = FamilySpec(family=args.family, n=args.n, k=args.arm_len, m=args.m,
-                      prob=args.prob, seed=args.graph_seed)
-    g = netgraph.generate(spec)   # rejects specs the label cannot print
-    return _dataset_label(spec), g
+    values = {key: str(getattr(args, key)) for key in GRAPH_KEYS
+              if getattr(args, key) is not None}
+    return _build_graph_from_keys(values)
 
 
 def _add_family_flags(parser) -> None:
-    parser.add_argument("--graph", help="edge-list file")
+    parser.add_argument("--graph", dest="edge_list", help="edge-list file")
     parser.add_argument("--family", help="built-in graph family")
     parser.add_argument("--n", type=int)
     parser.add_argument("--m", type=int)
@@ -284,6 +275,8 @@ def _add_family_flags(parser) -> None:
                         help="arm length for the tree families")
     parser.add_argument("--prob", type=float)
     parser.add_argument("--graph-seed", dest="graph_seed", type=int)
+    parser.add_argument("--k", type=int, default=1)
+    parser.add_argument("--p", type=float, default=1.0)
 
 
 def main(argv=None) -> int:
@@ -310,13 +303,9 @@ def main(argv=None) -> int:
 
     p_opt = sub.add_parser("optimum", help="exact minimum dominating set")
     _add_family_flags(p_opt)
-    p_opt.add_argument("--k", type=int, default=1)
-    p_opt.add_argument("--p", type=float, default=1.0)
 
     p_lp = sub.add_parser("export-lp", help="write the covering IP as an LP file")
     _add_family_flags(p_lp)
-    p_lp.add_argument("--k", type=int, default=1)
-    p_lp.add_argument("--p", type=float, default=1.0)
     p_lp.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)

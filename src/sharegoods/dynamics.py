@@ -46,7 +46,6 @@ class DynamicsResult:
     profile: Profile
     passes: int
     deviations: int
-    seed: int
     # One [case1, case2, case3, case4] counter per executed pass.
     case_counts: list[list[int]] = field(default_factory=list)
 
@@ -104,8 +103,7 @@ def best_response_dynamics(g: Graph, cfg: GameConfig, seed: int, *,
         deviations += moves
         case_counts.append(cases)
     return DynamicsResult(profile=state.s, passes=len(case_counts),
-                          deviations=deviations, seed=seed,
-                          case_counts=case_counts)
+                          deviations=deviations, case_counts=case_counts)
 
 
 def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
@@ -118,7 +116,7 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
     """
     if cfg.variant != SGG_AC:
         raise game.VariantError("stabilize applies only to SGG-AC")
-    if not game.is_distance_k_dominating(g, cfg.k, set(opt_owners)):
+    if not game.is_distance_k_dominating(g, cfg.k, opt_owners):
         raise ValueError("opt_owners is not distance-k dominating")
     n = g.n
     nbhd = g.closed_neighborhoods(cfg.k)

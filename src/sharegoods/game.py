@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .netgraph import Graph
 
@@ -70,20 +71,6 @@ class GameConfig:
             self.xi = math.ceil(ratio) - 1
 
 
-def validate_profile(g: Graph, cfg: GameConfig, s: Profile) -> None:
-    if len(s) != g.n:
-        raise ValueError(f"profile length {len(s)} != n={g.n}")
-    if cfg.variant == SGG:
-        if any(x not in (0, 1) for x in s):
-            raise ValueError("SGG strategies must be 0 or 1")
-    else:
-        nbhd = g.closed_neighborhoods(cfg.k)
-        for i, x in enumerate(s):
-            if x not in nbhd[i]:
-                raise ValueError(f"strategy {x} of node {i} outside its "
-                                 f"{cfg.k}-hop neighborhood")
-
-
 def owners(cfg: GameConfig, s: Profile) -> set[int]:
     """The set of buyers under s."""
     if cfg.variant == SGG:
@@ -94,15 +81,8 @@ def owners(cfg: GameConfig, s: Profile) -> set[int]:
 def is_in_T(g: Graph, cfg: GameConfig, s: Profile) -> bool:
     """True iff every node accesses a good (owns one or reaches an owner)."""
     if cfg.variant == SGG:
-        # Distances are symmetric, so i reaches an owner iff i lies in the
-        # closed k-ball of some owner: mark the owners' balls.
-        nbhd = g.closed_neighborhoods(cfg.k)
-        covered = bytearray(g.n)
-        for o, x in enumerate(s):
-            if x == 1:
-                for j in nbhd[o]:
-                    covered[j] = 1
-        return all(covered)
+        return is_distance_k_dominating(
+            g, cfg.k, (o for o, x in enumerate(s) if x == 1))
     # i has access iff its target s_i is an owner (s_i = i included), so
     # each distinct target needs checking only once.
     return all(s[x] == x for x in set(s))
@@ -229,24 +209,17 @@ def is_nash(g: Graph, cfg: GameConfig, s: Profile) -> bool:
     return State(g, cfg, s).is_nash()
 
 
-def is_k_independent_dominating(g: Graph, k: int, owner_set: set[int]) -> bool:
-    """Owners pairwise at distance >= k+1, and every node within k of one."""
+def is_distance_k_dominating(g: Graph, k: int,
+                             owner_ids: Iterable[int]) -> bool:
+    """Every node within k hops of one of owner_ids, any iterable (no
+    independence demand). Distances are symmetric, so i reaches an owner
+    iff i lies in the closed k-ball of some owner: mark the owners' balls."""
     nbhd = g.closed_neighborhoods(k)
-    covered: set[int] = set()
-    for o in owner_set:
-        if any(other in owner_set and other != o for other in nbhd[o]):
-            return False
-        covered.update(nbhd[o])
-    return len(covered) == g.n
-
-
-def is_distance_k_dominating(g: Graph, k: int, owner_set: set[int]) -> bool:
-    """Every node within k hops of some member (no independence demand)."""
-    nbhd = g.closed_neighborhoods(k)
-    covered: set[int] = set()
-    for o in owner_set:
-        covered.update(nbhd[o])
-    return len(covered) == g.n
+    covered = bytearray(g.n)
+    for o in owner_ids:
+        for j in nbhd[o]:
+            covered[j] = 1
+    return all(covered)
 
 
 def serialize_profile(s: Profile) -> str:

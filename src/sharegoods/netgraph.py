@@ -72,14 +72,6 @@ class Graph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
 
-    def closed_neighborhood(self, i: int, k: int) -> set[int]:
-        """Nodes within distance k of i, including i (k >= 0)."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"node {i} out of range")
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return set(self.closed_neighborhoods(k)[i])
-
     def closed_neighborhoods(self, k: int) -> tuple[tuple[int, ...], ...]:
         """All closed k-hop neighborhoods as sorted tuples; cached per k."""
         cached = self._nbhd_cache.get(k)
@@ -124,16 +116,15 @@ class FamilySpec:
     seed: int | None = None
 
 
-def load_edge_list(text: str | Iterable[str]) -> Graph:
+def load_edge_list(text: str) -> Graph:
     """Parse an edge-list document: two integer ids per line, '#' comments.
 
     Node ids are remapped to dense 0-based ids preserving sorted original
     order; duplicate edges collapse; self-loops are rejected.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     raw_edges: list[tuple[int, int]] = []
     ids: set[int] = set()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -64,6 +64,17 @@ def is_nash(g: Graph, cfg: GameConfig, s: list[int]) -> bool:
     return all(s[i] in best_response_set(g, cfg, s, i) for i in range(g.n))
 
 
+def is_k_independent_dominating(g: Graph, k: int, owner_set: set[int]) -> bool:
+    """Owners pairwise at distance >= k+1, and every node within k of one."""
+    nbhd = g.closed_neighborhoods(k)
+    covered: set[int] = set()
+    for o in owner_set:
+        if any(other in owner_set and other != o for other in nbhd[o]):
+            return False
+        covered.update(nbhd[o])
+    return len(covered) == g.n
+
+
 def ball_masks(g: Graph, k: int) -> list[int]:
     """Closed k-balls as bitmasks, grown k times by the adjacency masks
     (no BFS, and not `Graph.closed_neighborhoods`)."""
@@ -315,5 +326,4 @@ def reference_dynamics(g: Graph, cfg: GameConfig, seed: int) -> DynamicsResult:
         case_counts.append(cases)
         passes += 1
     return DynamicsResult(profile=state.s, passes=passes,
-                          deviations=deviations, seed=seed,
-                          case_counts=case_counts)
+                          deviations=deviations, case_counts=case_counts)

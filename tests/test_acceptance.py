@@ -4,7 +4,8 @@ the measured values (run with `pytest -s tests/test_acceptance.py`)."""
 import random
 
 from _oracles import (brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
-                      exhaustive_min_dominating, is_nash, random_graph)
+                      exhaustive_min_dominating, is_k_independent_dominating,
+                      is_nash, random_graph)
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import best_response_dynamics, stabilize
@@ -12,8 +13,7 @@ from sharegoods.equilibria import (empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    sggac_owner_set_feasible,
                                    sggac_witness_profile)
-from sharegoods.game import (SGG, SGG_AC, GameConfig,
-                             is_k_independent_dominating)
+from sharegoods.game import SGG, SGG_AC, GameConfig
 from sharegoods.optimum import min_dominating_exact
 
 KARATE = ng.karate()

@@ -222,6 +222,14 @@ CONFIG_KEYS = {"--n": "n", "--prob": "prob", "--graph-seed": "graph_seed",
 VALID = {("--k", None), ("--p", None), ("--prob", "0"),
          ("--graph-seed", "0"), ("--graph-seed", "-1")}
 
+# Bad values of each game key of a `run` config; p is 1 unless overridden.
+BAD_GAME_KEYS = [
+    *(("variant", v) for v in ("foo", "sgg", "")),
+    *((key, v) for key in ("k", "b", "p") for v in ("0", "-1", "x")),
+    *(("a", v) for v in ("0", "1", "0.5")),
+    *(("xi", v) for v in ("0", "-1", "x", "1,,2")),
+]
+
 
 def bad_flag_cases():
     """Every family with each of its flags, --k and --p missing, zero,
@@ -268,6 +276,26 @@ class TestBadInput:
             assert "Traceback" not in err, case
             assert err.count("error:") == (code == 2), case
 
+    @pytest.mark.parametrize("variant", [SGG, SGG_AC])
+    @pytest.mark.parametrize("key,value", [(None, None), *BAD_GAME_KEYS])
+    def test_game_keys(self, variant, key, value, tmp_path, capsys):
+        """A bad game key in a `run` config, under a variant given xi = 2
+        for SGG-AC (a replaces xi; a bad variant is tried with and without
+        xi). (None, None) is the valid config."""
+        values = {"variant": variant}
+        if variant == SGG_AC and key != "a":
+            values["xi"] = "2"
+        if key is not None:
+            values[key] = value
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("family = star\nn = 6\nruns = 2\n" + "".join(
+            f"{k} = {v}\n" for k, v in values.items()))
+        code = main(["run", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == (0 if key is None else 2)
+        assert "Traceback" not in err
+        assert err.count("error:") == err.count("\n") == (code == 2)
+
     @pytest.mark.parametrize("flag", ["--runs", "--seed"])
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_preset_flags(self, flag, value, tmp_path, capsys):
@@ -289,6 +317,40 @@ class TestBadInput:
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize("family", [*FAMILY_FLAGS, None])
+    def test_optimum_flags_match_config_keys(self, family, tmp_path, capsys,
+                                             monkeypatch):
+        """`optimum` given the family flags (or None: --graph with an edge
+        list) prints the line `run` gives for the config keys the flags
+        stand for, with analyses = optimum: label, cost and owners."""
+        owners = []
+
+        def recorded(g, k, p=1.0):
+            result = min_dominating_exact(g, k, p=p)
+            owners.append(sorted(result.owners))
+            return result
+        monkeypatch.setattr(cli, "min_dominating_exact", recorded)
+        if family is None:
+            edges = tmp_path / "g.edges"
+            edges.write_text("10 20\n20 30\n30 40\n40 50\n50 60\n")
+            flags = {"--graph": str(edges)}
+        else:
+            flags = {"--family": family, **FAMILY_FLAGS[family]}
+        flags.update({"--k": "2", "--p": "1.5"})
+        keys = {**CONFIG_KEYS, "--graph": "edge_list", "--family": "family"}
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("analyses = optimum\nruns = 1\n" + "".join(
+            f"{keys[f]} = {v}\n" for f, v in flags.items()))
+
+        assert main(["optimum", *(x for f in flags.items() for x in f)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["run", str(cfg)]) == 0
+        row, = csv.DictReader(capsys.readouterr().out.splitlines())
+        status = "optimal" if row["opt_proven"] == "true" else "incumbent"
+        assert printed == (f"{row['dataset']}: k={row['k']} "
+                           f"cost={row['opt_cost']} ({status}) "
+                           f"owners={owners[1]}\n")
+
     def test_optimum_family(self, capsys):
         assert main(["optimum", "--family", "star", "--n", "50", "--k", "1"]) == 0
         out = capsys.readouterr().out

@@ -98,20 +98,15 @@ class TestGenerators:
 class TestKHop:
     def test_chain_center(self):
         g = ng.chain(5)
-        assert g.closed_neighborhood(2, 2) == {0, 1, 2, 3, 4}
+        assert set(g.closed_neighborhoods(2)[2]) == {0, 1, 2, 3, 4}
 
     def test_star_center(self):
         g = ng.star(100)
-        assert g.closed_neighborhood(0, 1) == set(range(100))
+        assert set(g.closed_neighborhoods(1)[0]) == set(range(100))
 
     def test_isolated(self):
         g = Graph(3, [(0, 1)])
-        assert g.closed_neighborhood(2, 5) == {2}
-
-    def test_out_of_range(self):
-        g = ng.chain(3)
-        with pytest.raises(ValueError):
-            g.closed_neighborhood(3, 1)
+        assert set(g.closed_neighborhoods(5)[2]) == {2}
 
     def test_symmetry_and_monotonicity(self):
         rng = random.Random(0)
@@ -121,11 +116,11 @@ class TestKHop:
                           if rng.random() < 0.3])
             for k in (1, 2):
                 for i in range(n):
-                    nb = g.closed_neighborhood(i, k)
+                    nb = set(g.closed_neighborhoods(k)[i])
                     assert i in nb
-                    assert nb <= g.closed_neighborhood(i, k + 1)
+                    assert nb <= set(g.closed_neighborhoods(k + 1)[i])
                     for j in nb:
-                        assert i in g.closed_neighborhood(j, k)
+                        assert i in g.closed_neighborhoods(k)[j]
 
 
     def test_table_matches_ball_masks(self):
@@ -139,8 +134,6 @@ class TestKHop:
                 expected = [tuple(j for j in range(g.n) if m >> j & 1)
                             for m in ball_masks(g, k)]
                 assert list(table) == expected, (trial, k)
-                for i in range(g.n):
-                    assert g.closed_neighborhood(i, k) == set(expected[i])
 
 
 class TestComponents:
