@@ -332,10 +332,7 @@ def main(argv=None) -> int:
             write_csv(rows, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
         else:                    # optimum, export-lp
-            if args.k < 1:
-                raise ConfigError("k must be >= 1")
-            if not args.p > 0:
-                raise ConfigError("price p must be positive")
+            game.check_k_p(args.k, args.p)
             label, g = _family_graph_from_args(args)
             if args.command == "optimum":
                 result = min_dominating_exact(g, args.k, p=args.p)

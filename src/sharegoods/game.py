@@ -30,6 +30,14 @@ class VariantError(ValueError):
     """Operation called under the wrong game variant."""
 
 
+def check_k_p(k: int, p: float) -> None:
+    """The radius and price rules that every game and the optimum share."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not p > 0:
+        raise ValueError("price p must be positive")
+
+
 @dataclass
 class GameConfig:
     """Game parameters. For SGG-AC give exactly one of `a` and `xi`; the
@@ -45,10 +53,7 @@ class GameConfig:
     def __post_init__(self) -> None:
         if self.variant not in (SGG, SGG_AC):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not self.p > 0:
-            raise ValueError("price p must be positive")
+        check_k_p(self.k, self.p)
         if not self.b > self.p:
             raise ValueError("benefit b must exceed price p")
         if self.variant == SGG:

@@ -4,10 +4,12 @@ dominating set, plus export of the covering integer program in LP format.
 The exact solver is a branch-and-bound over include/exclude decisions with
 bitset coverage masks, run on each connected component separately. The
 upper bound is seeded by the greedy heuristic, a lazy max-heap greedy in
-O(sum |ball| * log n) whose ties go to the lowest id; the lower bound
-greedily packs pairwise-disjoint closed k-hop balls (any dominator of a
-packed node lies inside its ball, so disjoint balls need distinct
-dominators).
+O(sum |ball| * log n) whose ties go to the lowest id. The lower bound packs
+uncovered nodes whose available coverers (their closed k-hop ball minus the
+nodes excluded on the current branch) are pairwise disjoint, scarcest
+first: each packed node needs a distinct new owner. It is never larger
+than the optimum below the search node, so it prunes nothing that holds a
+strictly better set, and the owners found are those of the plain search.
 """
 
 from __future__ import annotations
@@ -74,6 +76,34 @@ def min_dominating_greedy(g: Graph, k: int) -> set[int]:
     return chosen
 
 
+def _disjoint_cover_bound(cov: list[int], uncovered: int,
+                          forbidden: int) -> int:
+    """Lower bound on the number of nodes outside `forbidden` whose balls
+    `cov` cover `uncovered`, or len(cov) + 1 if no such set exists.
+
+    Uncovered nodes whose available coverers are pairwise disjoint each need
+    their own coverer; they are packed greedily, fewest coverers first, ties
+    by the coverer mask.
+    """
+    avail = []
+    m = uncovered
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        a = cov[v] & ~forbidden
+        if not a:
+            return len(cov) + 1
+        avail.append((a.bit_count(), a))
+    avail.sort()
+    count = 0
+    used = 0
+    for _, a in avail:
+        if not a & used:
+            used |= a
+            count += 1
+    return count
+
+
 def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
                          node_budget: int = 50_000_000) -> OptResult:
     """Exact minimum distance-k dominating set by branch-and-bound.
@@ -85,23 +115,10 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
     result is flagged proven_optimal=False.
     """
     cov = cover_masks(g, k)
-    cov2k = cover_masks(g, 2 * k)
     greedy = min_dominating_greedy(g, k)
     best_size = 0
     incumbent: set[int] = set()
     explored = 0
-
-    def lower_bound(uncovered: int) -> int:
-        # Greedy packing of uncovered nodes pairwise further than 2k apart.
-        count = 0
-        blocked = 0
-        m = uncovered
-        while m:
-            v = (m & -m).bit_length() - 1
-            count += 1
-            blocked |= cov2k[v]
-            m = uncovered & ~blocked
-        return count
 
     def branch(chosen: list[int], uncovered: int, forbidden: int) -> None:
         nonlocal best_size, incumbent, explored
@@ -113,7 +130,8 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
                 best_size = len(chosen)
                 incumbent = set(chosen)
             return
-        if len(chosen) + lower_bound(uncovered) >= best_size:
+        if len(chosen) + _disjoint_cover_bound(cov, uncovered,
+                                               forbidden) >= best_size:
             return
         # Branch on the uncovered node with the most available coverers.
         pick, pick_deg = -1, -1
@@ -130,8 +148,6 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
             c = (m & -m).bit_length() - 1
             m &= m - 1
             candidates.append(c)
-        if not candidates:
-            return
         candidates.sort(key=lambda c: (-(cov[c] & uncovered).bit_count(), c))
         local_forbidden = forbidden
         for c in candidates:

@@ -3,7 +3,9 @@ avoid the library's solver/enumeration code paths, and the game rules here
 are the definition-level money comparisons, not `game.State`'s counts.
 `reference_dynamics` is the dynamics as written before the sweep kernel
 (one `rng.choice` per move), so that the kernel's draws can be checked
-against it."""
+against it; `reference_min_dominating_exact` is the exact branch and bound
+with its earlier 2k-packing lower bound, whose owner sets the current bound
+must reproduce."""
 
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ import random
 
 from sharegoods.dynamics import DynamicsResult
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
-from sharegoods.netgraph import Graph
+from sharegoods.netgraph import Graph, connected_components
+from sharegoods.optimum import OptResult
 
 # Absolute tolerance for money comparisons. Because p/a is never an integer,
 # buy-vs-rent comparisons are bounded away from ties by at least a/2.
@@ -198,6 +201,90 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+# The exact branch and bound with its earlier lower bound, a greedy packing
+# of uncovered nodes pairwise more than 2k apart, kept as the reference whose
+# owner sets the current bound must reproduce. Its masks and greedy seed come
+# from `ball_masks` and `scan_greedy_dominating`, the tests' own equivalents
+# of `optimum.cover_masks` and `optimum.min_dominating_greedy`.
+
+class _ReferenceBudgetExceeded(Exception):
+    pass
+
+
+def reference_min_dominating_exact(g: Graph, k: int, p: float = 1.0,
+                                   node_budget: int = 50_000_000) -> OptResult:
+    cov = ball_masks(g, k)
+    cov2k = ball_masks(g, 2 * k)
+    greedy = scan_greedy_dominating(g, k)
+    best_size = 0
+    incumbent: set[int] = set()
+    explored = 0
+
+    def lower_bound(uncovered: int) -> int:
+        # Greedy packing of uncovered nodes pairwise further than 2k apart.
+        count = 0
+        blocked = 0
+        m = uncovered
+        while m:
+            v = (m & -m).bit_length() - 1
+            count += 1
+            blocked |= cov2k[v]
+            m = uncovered & ~blocked
+        return count
+
+    def branch(chosen: list[int], uncovered: int, forbidden: int) -> None:
+        nonlocal best_size, incumbent, explored
+        explored += 1
+        if explored > node_budget:
+            raise _ReferenceBudgetExceeded
+        if uncovered == 0:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                incumbent = set(chosen)
+            return
+        if len(chosen) + lower_bound(uncovered) >= best_size:
+            return
+        # Branch on the uncovered node with the most available coverers.
+        pick, pick_deg = -1, -1
+        m = uncovered
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            deg = (cov[v] & ~forbidden).bit_count()
+            if deg > pick_deg:
+                pick, pick_deg = v, deg
+        candidates = []
+        m = cov[pick] & ~forbidden
+        while m:
+            c = (m & -m).bit_length() - 1
+            m &= m - 1
+            candidates.append(c)
+        if not candidates:
+            return
+        candidates.sort(key=lambda c: (-(cov[c] & uncovered).bit_count(), c))
+        local_forbidden = forbidden
+        for c in candidates:
+            chosen.append(c)
+            branch(chosen, uncovered & ~cov[c], local_forbidden)
+            chosen.pop()
+            local_forbidden |= 1 << c
+
+    owners: set[int] = set()
+    proven = True
+    for comp in connected_components(g):
+        comp_mask = sum(1 << v for v in comp)
+        incumbent = {v for v in greedy if (comp_mask >> v) & 1}
+        best_size = len(incumbent)
+        if proven:
+            try:
+                branch([], comp_mask, 0)
+            except _ReferenceBudgetExceeded:
+                proven = False
+        owners |= incumbent
+    return OptResult(owners=owners, cost=p * len(owners),
+                     proven_optimal=proven, nodes_explored=explored)
 
 
 # The dynamics before `game.State.sweep`, kept as the reference that the

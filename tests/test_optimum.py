@@ -1,11 +1,12 @@
 import random
 
-from _oracles import (disjoint_union, exhaustive_min_dominating, random_graph,
+from _oracles import (ball_masks, disjoint_union, exhaustive_min_dominating,
+                      random_graph, reference_min_dominating_exact,
                       scan_greedy_dominating)
 from sharegoods import netgraph as ng
 from sharegoods.game import is_distance_k_dominating
-from sharegoods.optimum import (export_ilp, min_dominating_exact,
-                                min_dominating_greedy)
+from sharegoods.optimum import (_disjoint_cover_bound, export_ilp,
+                                min_dominating_exact, min_dominating_greedy)
 
 
 class TestGreedy:
@@ -117,6 +118,64 @@ class TestExactComponents:
         assert r.nodes_explored <= 4
         assert is_distance_k_dominating(g, 1, r.owners)
         assert r.cost == len(r.owners)
+
+
+class TestLowerBound:
+    def test_never_exceeds_restricted_optimum(self):
+        # covered[S]: the nodes that the balls of the node subset S cover.
+        rng = random.Random(17)
+        for trial in range(40):
+            g = random_graph(rng, rng.randint(1, 8), rng.random() * 0.5)
+            g = disjoint_union(g, isolated=trial % 3)
+            n = g.n
+            for k in (1, 2, 3):
+                cov = ball_masks(g, k)
+                covered = [0] * (1 << n)
+                for s in range(1, 1 << n):
+                    low = s & -s
+                    covered[s] = covered[s ^ low] | cov[low.bit_length() - 1]
+                for _ in range(6):
+                    uncovered = rng.getrandbits(n)
+                    forbidden = rng.getrandbits(n) & rng.getrandbits(n)
+                    sizes = [s.bit_count() for s in range(1 << n)
+                             if not s & forbidden
+                             and covered[s] & uncovered == uncovered]
+                    bound = _disjoint_cover_bound(cov, uncovered, forbidden)
+                    if sizes:
+                        assert bound <= min(sizes)
+                    else:
+                        assert bound == n + 1
+
+    def test_proves_sparse_er_within_small_budget(self):
+        # The earlier 2k-ball packing bound ran past these budgets.
+        for g, budget, expected in [(ng.er_random(60, 0.1, 2), 10_000, 12),
+                                    (ng.er_random(80, 0.075, 1), 20_000, 14)]:
+            r = min_dominating_exact(g, 1, node_budget=budget)
+            assert r.proven_optimal and r.cost == expected
+
+
+class TestSameOwnersAsReference:
+    def _check(self, g, k):
+        r = min_dominating_exact(g, k)
+        ref = reference_min_dominating_exact(g, k)
+        assert (r.owners, r.cost, r.proven_optimal) == \
+            (ref.owners, ref.cost, ref.proven_optimal)
+
+    def test_random_graphs_and_unions(self):
+        rng = random.Random(23)
+        for trial in range(93):
+            g = random_graph(rng, rng.randint(1, 24), rng.random() * 0.35)
+            if trial % 3 == 0:
+                g = disjoint_union(g, random_graph(rng, rng.randint(1, 8), 0.4),
+                                   isolated=rng.randint(0, 3))
+            self._check(g, rng.randint(1, 3))
+
+    def test_families(self):
+        for k in (1, 2, 3, 4):
+            self._check(ng.karate(), k)
+        self._check(ng.chain(100), 1)
+        self._check(ng.er_random(30, 0.2, 5), 1)
+        self._check(ng.er_random(50, 0.1, 0), 1)
 
 
 class TestExportIlp:
