@@ -56,6 +56,8 @@ class ExperimentConfig:
         unknown = set(self.analyses) - set(KNOWN_ANALYSES)
         if unknown:
             raise ConfigError(f"unknown analyses: {sorted(unknown)}")
+        if "stabilize" in self.analyses and self.variant != SGG_AC:
+            raise ConfigError("stabilize applies only to SGG-AC")
 
 
 def _fmt(value) -> str:
@@ -104,6 +106,10 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
         stats = empirical_cost_stats(g, cfgs, config.runs, config.master_seed)
     if "exact_efficiency" in analyses:
         reports = exact_efficiency(g, cfgs)
+    if "export_lp" in analyses:    # the LP depends on the graph, k and p
+        path = _side_path(config, None, ".lp")
+        path.write_text(export_ilp(g, config.k, config.p))
+        print(f"export_lp {config.dataset} k={config.k} -> {path}")
     rows = []
     for cfg, st, report in zip(cfgs, stats, reports):
         row = {c: "" for c in CSV_COLUMNS}
@@ -126,17 +132,13 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
             row["opt_cost"] = report.opt_cost
             row["poa_exact"] = report.poa
             row["pos_exact"] = report.pos
-        if "stabilize" in analyses and cfg.variant == SGG_AC:
+        if "stabilize" in analyses:
             profile = stabilize(g, cfg, opt.owners)
             cost = game.social_cost(g, cfg, profile)
             path = _side_path(config, cfg.xi, ".stabilized.profile")
             path.write_text(game.serialize_profile(profile))
             print(f"stabilize {config.dataset} xi={cfg.xi}: "
                   f"cost={_fmt(cost)} -> {path}")
-        if "export_lp" in analyses:
-            path = _side_path(config, cfg.xi, ".lp")
-            path.write_text(export_ilp(g, cfg.k, cfg.p))
-            print(f"export_lp {config.dataset} k={cfg.k} -> {path}")
         rows.append(row)
     return rows
 

@@ -1,5 +1,5 @@
 """Efficiency analysis: exact equilibrium enumeration on small graphs,
-owner-set feasibility for the access-cost game as a capacitated matching,
+owner-set feasibility for the access-cost game as a follower matching,
 worst/best equilibrium ratios, and Monte Carlo cost statistics.
 """
 
@@ -89,71 +89,68 @@ def enumerate_ne_owner_sets_sgg(g: Graph, k: int) -> list[frozenset]:
     return results
 
 
-def _sggac_ne_masks(g: Graph, k: int, xi: int) -> list[int]:
-    """Owner sets of all SGG-AC equilibria, as bitmasks.
-
-    Candidates are the dominating sets that pass a follower-capacity prune;
-    sggac_owner_set_feasible decides each one. An owner is contested when
-    another owner lies within k hops. Every contested owner needs xi
-    followers among the non-owners of its closed k-ball, and the contested
-    owners together need xi times their number of non-owners. Adding
-    owners only shrinks the non-owners and grows the contested set, so a
-    set failing either test has no feasible superset.
+def _follower_claims(cov: list[int], owners: int,
+                     xi: int) -> dict[int, int] | None:
+    """The follower -> owner map in which each contested owner of the
+    bitmask owners (one with another owner in its k-ball cov[o]) holds xi
+    non-owners of its ball, or None at the first failed claim. Claims are
+    Kuhn's augmenting paths, so a claim that fails now fails after later
+    claims too. Adding an owner only removes a follower and adds demand,
+    so a set that fails has no superset that passes.
     """
-    n = g.n
+    holder: dict[int, int] = {}
+    seen = 0
+
+    def claim(o: int) -> bool:
+        nonlocal seen
+        free = cov[o] & ~owners & ~seen
+        while free:
+            low = free & -free
+            seen |= low
+            v = low.bit_length() - 1
+            if v not in holder or claim(holder[v]):
+                holder[v] = o
+                return True
+            free &= ~seen
+        return False
+
+    for o in _members(owners):
+        if cov[o] & owners != 1 << o:
+            for _ in range(xi):
+                seen = 0
+                if not claim(o):
+                    return None
+    return holder
+
+
+def _sggac_ne_masks(g: Graph, k: int, xi: int) -> list[int]:
+    """Owner sets of all SGG-AC equilibria, as bitmasks: the dominating
+    sets whose every contested owner can claim xi followers, the claims
+    deciding each owner as it joins."""
     cov = cover_masks(g, k)
-
-    def capacity_ok(i: int, chosen: int) -> bool:
-        contested = 0
-        m = chosen
-        while m:
-            low = m & -m
-            m ^= low
-            ball = cov[low.bit_length() - 1]
-            if ball & chosen != low:
-                if (ball & ~chosen).bit_count() < xi:
-                    return False
-                contested += 1
-        return xi * contested <= n - chosen.bit_count()
-
-    return [m for m in _dominating_owner_sets(cov, capacity_ok)
-            if sggac_owner_set_feasible(g, k, xi, set(_members(m)))]
+    return _dominating_owner_sets(
+        cov, lambda i, chosen: _follower_claims(cov, chosen, xi) is not None)
 
 
 def sggac_witness_profile(g: Graph, k: int, xi: int,
                           owner_set: set[int]):
     """A strategy profile witnessing that owner_set supports an SGG-AC
-    equilibrium, or None if none exists.
-
-    Each non-owner follows its lowest-id owner in range, and there must be
-    one. Each contested owner (one with another owner within k hops) then
-    claims xi followers by Kuhn's augmenting paths, re-routing a claimed
-    follower whose holder can claim another. A claim that fails now fails
-    after later claims too, so the first failure decides.
-    """
-    owner_set = set(owner_set)
-    nbhd = g.closed_neighborhoods(k)
+    equilibrium, or None if none exists. Each follower claimed by
+    _follower_claims follows its claimant; every other non-owner follows
+    its lowest-id owner in range, and there must be one."""
+    owners = sum(1 << o for o in set(owner_set))
+    cov = cover_masks(g, k)
+    holder = _follower_claims(cov, owners, xi)
+    if holder is None:
+        return None
     s = list(range(g.n))
-    held = [False] * g.n         # claimed by a contested owner
     for v in range(g.n):
-        if v not in owner_set:
-            s[v] = next((o for o in nbhd[v] if o in owner_set), None)
-            if s[v] is None:
+        if not owners >> v & 1:
+            in_range = cov[v] & owners
+            if not in_range:
                 return None
-
-    def claim(o: int, seen: set[int]) -> bool:
-        for v in nbhd[o]:
-            if v not in owner_set and v not in seen:
-                seen.add(v)
-                if not held[v] or claim(s[v], seen):
-                    s[v], held[v] = o, True
-                    return True
-        return False
-
-    contested = [o for o in sorted(owner_set)
-                 if any(j != o and j in owner_set for j in nbhd[o])]
-    return s if all(claim(o, set()) for o in contested
-                    for _ in range(xi)) else None
+            s[v] = holder.get(v, (in_range & -in_range).bit_length() - 1)
+    return s
 
 
 def sggac_owner_set_feasible(g: Graph, k: int, xi: int,

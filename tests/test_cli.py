@@ -4,8 +4,9 @@ import pytest
 
 from sharegoods import cli
 from sharegoods import netgraph as ng
-from sharegoods.cli import (CSV_COLUMNS, ExperimentConfig, compute_row,
-                            config_from_values, main, presets, write_csv)
+from sharegoods.cli import (CSV_COLUMNS, KNOWN_ANALYSES, ExperimentConfig,
+                            compute_row, config_from_values, main, presets,
+                            write_csv)
 from sharegoods.game import SGG, SGG_AC
 from sharegoods.netgraph import ConfigError
 from sharegoods.optimum import min_dominating_exact
@@ -193,6 +194,34 @@ class TestErrors:
         assert main(["run", str(cfg_path)]) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("graph", ["empty", "chain(1)"])
+    @pytest.mark.parametrize("variant", ["variant = SGG\n",
+                                         "variant = SGG-AC\nxi = 1,2\n"])
+    @pytest.mark.parametrize("analysis", KNOWN_ANALYSES)
+    def test_tiny_graphs(self, graph, variant, analysis, tmp_path, capsys):
+        """Every analysis under each variant on an empty edge list (n = 0)
+        and on chain(1) writes its rows, except exact_efficiency on n = 0
+        and stabilize under SGG, which end in one error line."""
+        if graph == "empty":
+            edges = tmp_path / "empty.edges"
+            edges.write_text("# no edges\n")
+            source = f"edge_list = {edges}\n"
+        else:
+            source = "family = chain\nn = 1\n"
+        out = tmp_path / "out.csv"
+        cfg_path = tmp_path / "exp.conf"
+        cfg_path.write_text(source + variant + f"analyses = {analysis}\n"
+                            f"runs = 3\nout = {out}\n")
+        code = main(["run", str(cfg_path)])
+        fails = ((analysis, graph) == ("exact_efficiency", "empty")
+                 or (analysis, variant) == ("stabilize", "variant = SGG\n"))
+        assert code == (2 if fails else 0)
+        if fails:
+            self.assert_one_error_line(capsys)
+        else:
+            assert capsys.readouterr().err == ""
+            assert len(read_rows(out)) == (1 if "xi" not in variant else 2)
+
     def test_stabilize_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("stabilize repair loop failed to terminate")
@@ -307,6 +336,20 @@ class TestBadInput:
         assert "Traceback" not in err
         assert (code == 0) == ("error:" not in err)
 
+    def test_stabilize_under_sgg(self, tmp_path, capsys, monkeypatch):
+        """Formerly computed the optimum and then wrote nothing."""
+        monkeypatch.setattr(cli, "min_dominating_exact", None)
+        edges = tmp_path / "empty.edges"
+        edges.write_text("# no edges\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"edge_list = {edges}\nvariant = SGG\n"
+                       f"analyses = stabilize\nout = {tmp_path / 'o.csv'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: stabilize applies only to SGG-AC\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["empty.edges", "exp.cfg"]
+
     def test_er_random_without_prob(self, tmp_path, capsys):
         """Formerly a TypeError from labelling the graph before building it."""
         family = ["--family", "er_random", "--n", "5", "--graph-seed", "1"]
@@ -364,6 +407,23 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         text = out.read_text()
         assert text.startswith("Minimize") and text.rstrip().endswith("End")
+
+    def test_export_lp_once_per_experiment(self, tmp_path, capsys):
+        """An SGG-AC xi grid writes one LP, with the bytes `export-lp`
+        writes for the same graph keys, k and p."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("family = er_random\nn = 12\nprob = 0.3\n"
+                       "graph_seed = 2\nvariant = SGG-AC\nxi = 1,2,5\n"
+                       "k = 2\np = 1.5\nanalyses = export_lp\n"
+                       f"out = {tmp_path / 'exp.csv'}\n")
+        assert main(["run", str(cfg)]) == 0
+        lp, = tmp_path.glob("*.lp")
+        assert lp.name == "exp_er_random_12_0.3__sggac_k2.lp"
+        direct = tmp_path / "direct.lp"
+        assert main(["export-lp", "--family", "er_random", "--n", "12",
+                     "--prob", "0.3", "--graph-seed", "2", "--k", "2",
+                     "--p", "1.5", "--out", str(direct)]) == 0
+        assert lp.read_bytes() == direct.read_bytes()
 
     def test_preset_subcommand(self, tmp_path):
         out = tmp_path / "t4.csv"

@@ -8,12 +8,13 @@ from _oracles import (brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists
 from sharegoods import equilibria, game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import best_response_dynamics
-from sharegoods.equilibria import (_sggac_ne_masks, empirical_cost_stats,
+from sharegoods.equilibria import (_follower_claims, _sggac_ne_masks,
+                                   empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
 from sharegoods.game import SGG, SGG_AC, GameConfig
-from sharegoods.optimum import min_dominating_exact
+from sharegoods.optimum import cover_masks, min_dominating_exact
 
 
 class TestEnumeration:
@@ -128,6 +129,35 @@ class TestSggacEnumeration:
                     report = exact_efficiency(g, [cfg])[0]
                     assert report.worst_ne_cost == max(sizes)
                     assert report.best_ne_cost == min(sizes)
+
+
+    def test_failed_claims_fail_for_every_superset(self):
+        """The enumerator cuts every extension of an owner set that fails
+        the follower claims, which is sound only if each superset fails
+        too."""
+        rng = random.Random(41)
+        cut = 0
+        for _ in range(20):
+            n1 = rng.randint(1, 8)
+            n2 = rng.randint(0, 8 - n1)
+            g = disjoint_union(random_graph(rng, n1, rng.random() * 0.7),
+                               random_graph(rng, n2, rng.random() * 0.7),
+                               isolated=rng.randint(0, 8 - n1 - n2))
+            full = (1 << g.n) - 1
+            for k in (1, 2, 3):
+                cov = cover_masks(g, k)
+                for xi in (1, 2, 3, 4):
+                    fails = [_follower_claims(cov, m, xi) is None
+                             for m in range(full + 1)]
+                    for m in range(full + 1):
+                        if not fails[m]:
+                            continue
+                        sup = m
+                        while sup != full:
+                            sup = (sup + 1) | m      # next superset of m
+                            assert fails[sup], (g.edges, g.n, k, xi, m, sup)
+                            cut += 1
+        assert cut > 0
 
 
 class TestExactEfficiency:
