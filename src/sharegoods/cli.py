@@ -73,13 +73,14 @@ def _fmt(value) -> str:
 
 
 def _side_path(config: ExperimentConfig, xi, suffix: str) -> Path:
-    base = Path(config.out) if config.out else Path(f"{config.dataset}")
     tag = config.variant.lower().replace("-", "")
     if xi is not None:
         tag += f"_xi{xi}"
+    out = Path(config.out or "")
+    prefix = f"{out.stem}_" if config.out else ""
     safe = "".join(ch if ch.isalnum() or ch in "._-" else "_"
-                   for ch in base.stem + f"_{config.dataset}_{tag}_k{config.k}")
-    return base.parent / (safe + suffix)
+                   for ch in f"{prefix}{config.dataset}_{tag}_k{config.k}")
+    return out.parent / (safe + suffix)
 
 
 @functools.lru_cache(maxsize=1)
@@ -344,8 +345,8 @@ def main(argv=None) -> int:
             else:
                 Path(args.out).write_text(export_ilp(g, args.k, args.p))
                 print(f"wrote LP for {label} (k={args.k}) to {args.out}")
-    # RuntimeError covers a solver that gave up (dynamics not converging, a
-    # failed stabilize repair) and RecursionError.
+    # RuntimeError covers a solver that gave up (dynamics, a stabilize
+    # repair, an equilibrium search out of nodes) and RecursionError.
     except (ConfigError, netgraph.ParseError, ValueError, OSError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

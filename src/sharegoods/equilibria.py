@@ -1,21 +1,18 @@
-"""Efficiency analysis: exact equilibrium enumeration on small graphs,
-owner-set feasibility for the access-cost game as a follower matching,
-worst/best equilibrium ratios, and Monte Carlo cost statistics.
-"""
+"""Efficiency analysis: one search over distance-k dominating owner sets
+that lists the equilibrium owner sets or finds the smallest and largest,
+SGG-AC feasibility as a follower matching, exact PoA/PoS, and Monte Carlo
+cost statistics."""
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
 
-from . import game
+from . import game, optimum
 from .dynamics import best_response_dynamics, derive_seed, draw_start
-from .game import SGG, SGG_AC, GameConfig
+from .game import SGG, GameConfig
 from .netgraph import Graph
-from .optimum import cover_masks, min_dominating_exact
-
-DEFAULT_MAX_N_SGG = 20
-DEFAULT_MAX_N_SGGAC = 16
+from .optimum import _disjoint_cover_bound, cover_masks, min_dominating_exact
 
 
 @dataclass
@@ -37,33 +34,50 @@ class CostStats:
     mean_passes: float
 
 
-def _dominating_owner_sets(cov: list[int], admit) -> list[int]:
-    """Every distance-k dominating owner set, as a bitmask, that admit lets
-    through, given the closed k-ball masks cov.
+def _dominating_owner_sets(cov: list[int], admit,
+                           objective: str | None = None) -> list[int]:
+    """Distance-k dominating owner sets, as bitmasks, that admit lets
+    through, given the closed k-ball masks cov: all of them with no
+    objective; with "smallest" or "largest", each one that beats the one
+    before it, so the last is an extreme.
 
     Nodes are decided in id order. Excluding node i is cut when some node
     whose highest-id potential dominator is i is still undominated.
     admit(i, chosen) is asked when i joins the bitmask chosen (which then
     holds i); a False cuts every set that extends chosen, so admit may
-    reject only when no such set can qualify.
+    reject only when no such set can qualify. "smallest" cuts on the B&B's
+    disjoint-coverer bound, "largest" on the undecided nodes; a search of
+    more than optimum.NODE_BUDGET nodes raises a RuntimeError.
     """
     n = len(cov)
     due = [0] * n
     for u in range(n):
         due[cov[u].bit_length() - 1] |= 1 << u
     masks: list[int] = []
+    best = n + 1 if objective == "smallest" else -1
+    searched = 0
 
-    def rec(i: int, chosen: int, dominated: int) -> None:
+    def rec(i: int, chosen: int, undominated: int, count: int) -> None:
+        nonlocal best, searched
+        searched += 1
+        if searched > optimum.NODE_BUDGET:
+            raise RuntimeError(f"the equilibrium search stopped after "
+                               f"{searched - 1} nodes searched (its budget)")
+        if objective == "largest" and count + n - i <= best or (
+                objective == "smallest" and count + _disjoint_cover_bound(
+                    cov, undominated, (1 << i) - 1 & ~chosen) >= best):
+            return
         if i == n:
             masks.append(chosen)
+            best = count
             return
         with_i = chosen | 1 << i
         if admit(i, with_i):
-            rec(i + 1, with_i, dominated | cov[i])
-        if dominated & due[i] == due[i]:
-            rec(i + 1, chosen, dominated)
+            rec(i + 1, with_i, undominated & ~cov[i], count + 1)
+        if not undominated & due[i]:
+            rec(i + 1, chosen, undominated, count)
 
-    rec(0, 0, 0)
+    rec(0, 0, (1 << n) - 1, 0)
     return masks
 
 
@@ -72,32 +86,30 @@ def _members(mask: int) -> list[int]:
 
 
 def enumerate_ne_owner_sets_sgg(g: Graph, k: int) -> list[frozenset]:
-    """All k-independent dominating sets, by pruned backtracking over nodes.
-
-    Prunes branches that violate independence and branches where some node
-    can no longer be dominated by any undecided candidate.
-    """
-    if g.n > DEFAULT_MAX_N_SGG:
-        raise ValueError(f"n={g.n} exceeds max_n={DEFAULT_MAX_N_SGG}")
+    """All k-independent dominating sets, smallest first."""
     cov = cover_masks(g, k)
-    # Distances are symmetric: i is k-independent of the chosen owners iff
-    # none lies in i's own ball.
-    masks = _dominating_owner_sets(
-        cov, lambda i, chosen: cov[i] & chosen == 1 << i)
-    results = [frozenset(_members(m)) for m in masks]
-    results.sort(key=lambda s: (len(s), sorted(s)))
-    return results
+    masks = _dominating_owner_sets(cov, _admit(cov, SGG, None))
+    return sorted((frozenset(_members(m)) for m in masks),
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def _admit(cov: list[int], variant: str, xi: int | None):
+    """The admit rule that makes dominating sets the equilibrium ones."""
+    if variant == SGG:
+        # Distances are symmetric: i is k-independent of the chosen owners
+        # iff none lies in i's own ball.
+        return lambda i, chosen: cov[i] & chosen == 1 << i
+    return lambda i, chosen: _follower_claims(cov, chosen, xi) is not None
 
 
 def _follower_claims(cov: list[int], owners: int,
                      xi: int) -> dict[int, int] | None:
     """The follower -> owner map in which each contested owner of the
-    bitmask owners (one with another owner in its k-ball cov[o]) holds xi
+    bitmask owners (another owner lies in its k-ball cov[o]) holds xi
     non-owners of its ball, or None at the first failed claim. Claims are
-    Kuhn's augmenting paths, so a claim that fails now fails after later
-    claims too. Adding an owner only removes a follower and adds demand,
-    so a set that fails has no superset that passes.
-    """
+    Kuhn's augmenting paths, so a failed claim fails after later ones too;
+    an added owner removes a follower and adds demand, so a failing set
+    has no passing superset."""
     holder: dict[int, int] = {}
     seen = 0
 
@@ -121,15 +133,6 @@ def _follower_claims(cov: list[int], owners: int,
                 if not claim(o):
                     return None
     return holder
-
-
-def _sggac_ne_masks(g: Graph, k: int, xi: int) -> list[int]:
-    """Owner sets of all SGG-AC equilibria, as bitmasks: the dominating
-    sets whose every contested owner can claim xi followers, the claims
-    deciding each owner as it joins."""
-    cov = cover_masks(g, k)
-    return _dominating_owner_sets(
-        cov, lambda i, chosen: _follower_claims(cov, chosen, xi) is not None)
 
 
 def sggac_witness_profile(g: Graph, k: int, xi: int,
@@ -166,25 +169,16 @@ def exact_efficiency(g: Graph,
     computed once."""
     if len({(cfg.k, cfg.p) for cfg in cfgs}) > 1:
         raise ValueError("the configs must share k and p")
-    for cfg in cfgs:
-        max_n = (DEFAULT_MAX_N_SGG if cfg.variant == SGG
-                 else DEFAULT_MAX_N_SGGAC)
-        if g.n > max_n:
-            raise ValueError(f"n={g.n} exceeds max_n={max_n}")
     if g.n == 0:
-        raise ValueError("exact_efficiency needs a graph with at least one "
-                         "node")
+        raise ValueError("exact_efficiency needs at least one node")
     opt = min_dominating_exact(g, cfgs[0].k, p=cfgs[0].p)
+    cov = cover_masks(g, cfgs[0].k)
     reports = []
     for cfg in cfgs:
-        if cfg.variant == SGG:
-            sizes = [len(s) for s in enumerate_ne_owner_sets_sgg(g, cfg.k)]
-        else:
-            # Bitmasks: thousands of frozensets would cost megabytes.
-            masks = _sggac_ne_masks(g, cfg.k, cfg.xi)
-            sizes = [m.bit_count() for m in masks]
-        worst = cfg.p * max(sizes)
-        best = cfg.p * min(sizes)
+        admit = _admit(cov, cfg.variant, cfg.xi)
+        worst, best = (
+            cfg.p * _dominating_owner_sets(cov, admit, side)[-1].bit_count()
+            for side in ("largest", "smallest"))
         reports.append(EfficiencyReport(
             opt_cost=opt.cost, worst_ne_cost=worst, best_ne_cost=best,
             poa=worst / opt.cost, pos=best / opt.cost))
@@ -218,7 +212,8 @@ def empirical_cost_stats(g: Graph, cfgs: list[GameConfig], runs: int,
                     rng.setstate(snapshot)
                 start = state.copy(cfg.xi), order, rng
             result = best_response_dynamics(g, cfg, seed, start=start)
-            costs[c].append(game.social_cost(g, cfg, result.profile))
+            # The final sweep certified the profile as Nash, so it is in T.
+            costs[c].append(cfg.p * len(game.owners(cfg, result.profile)))
             passes[c].append(result.passes)
     return [CostStats(
         runs=runs,

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 from .netgraph import Graph, connected_components
 
+NODE_BUDGET = 50_000_000    # nodes of each exact search, B&B or equilibria
+
 
 @dataclass
 class OptResult:
@@ -105,7 +107,7 @@ def _disjoint_cover_bound(cov: list[int], uncovered: int,
 
 
 def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
-                         node_budget: int = 50_000_000) -> OptResult:
+                         node_budget: int = NODE_BUDGET) -> OptResult:
     """Exact minimum distance-k dominating set by branch-and-bound.
 
     Each connected component is searched on its own, starting from the

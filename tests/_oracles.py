@@ -5,7 +5,9 @@ are the definition-level money comparisons, not `game.State`'s counts.
 (one `rng.choice` per move), so that the kernel's draws can be checked
 against it; `reference_min_dominating_exact` is the exact branch and bound
 with its earlier 2k-packing lower bound, whose owner sets the current bound
-must reproduce."""
+must reproduce; `listed_ne_sizes` takes the largest and the smallest
+equilibrium owner set from the full listing that the exact efficiency
+analysis used before its two bounded searches."""
 
 from __future__ import annotations
 
@@ -185,6 +187,93 @@ def brute_force_sggac_ne_owner_sets(g: Graph,
         if brute_force_sggac_ne_exists(g, cfg, owner_set):
             out.add(frozenset(owner_set))
     return out
+
+
+# The equilibrium owner-set listing and the SGG-AC admit rule as they stood
+# before exact worst/best equilibria came from two bounded searches, kept
+# verbatim as the reference whose extreme sizes those searches must give.
+
+def listing_dominating_owner_sets(cov: list[int], admit) -> list[int]:
+    """Every distance-k dominating owner set, as a bitmask, that admit lets
+    through, given the closed k-ball masks cov.
+
+    Nodes are decided in id order. Excluding node i is cut when some node
+    whose highest-id potential dominator is i is still undominated.
+    admit(i, chosen) is asked when i joins the bitmask chosen (which then
+    holds i); a False cuts every set that extends chosen, so admit may
+    reject only when no such set can qualify.
+    """
+    n = len(cov)
+    due = [0] * n
+    for u in range(n):
+        due[cov[u].bit_length() - 1] |= 1 << u
+    masks: list[int] = []
+
+    def rec(i: int, chosen: int, dominated: int) -> None:
+        if i == n:
+            masks.append(chosen)
+            return
+        with_i = chosen | 1 << i
+        if admit(i, with_i):
+            rec(i + 1, with_i, dominated | cov[i])
+        if dominated & due[i] == due[i]:
+            rec(i + 1, chosen, dominated)
+
+    rec(0, 0, 0)
+    return masks
+
+
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def listing_follower_claims(cov: list[int], owners: int,
+                            xi: int) -> dict[int, int] | None:
+    """The follower -> owner map in which each contested owner of the
+    bitmask owners (one with another owner in its k-ball cov[o]) holds xi
+    non-owners of its ball, or None at the first failed claim. Claims are
+    Kuhn's augmenting paths, so a claim that fails now fails after later
+    claims too. Adding an owner only removes a follower and adds demand,
+    so a set that fails has no superset that passes.
+    """
+    holder: dict[int, int] = {}
+    seen = 0
+
+    def claim(o: int) -> bool:
+        nonlocal seen
+        free = cov[o] & ~owners & ~seen
+        while free:
+            low = free & -free
+            seen |= low
+            v = low.bit_length() - 1
+            if v not in holder or claim(holder[v]):
+                holder[v] = o
+                return True
+            free &= ~seen
+        return False
+
+    for o in _members(owners):
+        if cov[o] & owners != 1 << o:
+            for _ in range(xi):
+                seen = 0
+                if not claim(o):
+                    return None
+    return holder
+
+
+def listed_ne_sizes(g: Graph, cfg: GameConfig) -> tuple[int, int]:
+    """(largest, smallest) equilibrium owner-set size from the full listing,
+    over the tests' own ball masks."""
+    cov = ball_masks(g, cfg.k)
+    if cfg.variant == SGG:
+        masks = listing_dominating_owner_sets(
+            cov, lambda i, chosen: cov[i] & chosen == 1 << i)
+    else:
+        masks = listing_dominating_owner_sets(
+            cov, lambda i, chosen:
+            listing_follower_claims(cov, chosen, cfg.xi) is not None)
+    sizes = [m.bit_count() for m in masks]
+    return max(sizes), min(sizes)
 
 
 def disjoint_union(*graphs: Graph, isolated: int = 0) -> Graph:

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from sharegoods import cli
+from sharegoods import cli, optimum
 from sharegoods import netgraph as ng
 from sharegoods.cli import (CSV_COLUMNS, KNOWN_ANALYSES, ExperimentConfig,
                             compute_row, config_from_values, main, presets,
@@ -222,6 +222,20 @@ class TestErrors:
             assert capsys.readouterr().err == ""
             assert len(read_rows(out)) == (1 if "xi" not in variant else 2)
 
+    def test_equilibrium_search_budget(self, tmp_path, capsys, monkeypatch):
+        """An equilibrium search that runs out of nodes writes no CSV and
+        ends in one error line naming the nodes searched."""
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 100)
+        out = tmp_path / "out.csv"
+        cfg_path = tmp_path / "exp.conf"
+        cfg_path.write_text("family = karate\nanalyses = exact_efficiency\n"
+                            f"out = {out}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "100 nodes searched" in err
+        assert not out.exists()
+
     def test_stabilize_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("stabilize repair loop failed to terminate")
@@ -424,6 +438,16 @@ class TestSubcommands:
                      "--prob", "0.3", "--graph-seed", "2", "--k", "2",
                      "--p", "1.5", "--out", str(direct)]) == 0
         assert lp.read_bytes() == direct.read_bytes()
+
+    def test_export_lp_without_out(self, tmp_path, capsys, monkeypatch):
+        """With no `out`, the LP is named after the dataset label alone."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("family = er_random\nn = 8\nprob = 0.3\n"
+                       "graph_seed = 1\nanalyses = export_lp\n")
+        assert main(["run", str(cfg)]) == 0
+        assert [p.name for p in tmp_path.glob("*.lp")] == \
+            ["er_random_8_0.3__sgg_k1.lp"]
 
     def test_preset_subcommand(self, tmp_path):
         out = tmp_path / "t4.csv"

@@ -151,6 +151,25 @@ class TestStabilize:
             bound = len(opt.owners) * max(1, xi // (k // 2 + 1))
             assert len(game.owners(cfg, s)) <= bound
 
+    def test_disjoint_unions_with_isolated_nodes(self):
+        """On two random parts plus isolated nodes, the repaired profile is
+        Nash under the oracle, within acceptance 8's cost bound."""
+        from sharegoods.optimum import min_dominating_exact
+        rng = random.Random(53)
+        for _ in range(150):
+            n1 = rng.randint(1, 10)
+            n2 = rng.randint(0, 10)
+            g = disjoint_union(random_graph(rng, n1, rng.random() * 0.6),
+                               random_graph(rng, n2, rng.random() * 0.6),
+                               isolated=rng.randint(0, 3))
+            k = rng.randint(1, 3)
+            cfg = GameConfig(SGG_AC, k, xi=rng.randint(1, 8))
+            opt = min_dominating_exact(g, k)
+            s = stabilize(g, cfg, opt.owners)
+            assert is_nash(g, cfg, s), (g.n, g.edges, cfg)
+            bound = cfg.p * len(opt.owners) * max(1, cfg.xi // (k // 2 + 1))
+            assert game.social_cost(g, cfg, s) <= bound, (g.n, g.edges, cfg)
+
 
 def test_choice_is_randbelow_index():
     """The dynamics draw seq[rng._randbelow(len(seq))] in place of

@@ -4,12 +4,13 @@ import pytest
 
 from _oracles import (brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
                       brute_force_sggac_ne_owner_sets, disjoint_union,
-                      is_nash, random_graph, reference_dynamics)
+                      is_nash, listed_ne_sizes, random_graph,
+                      reference_dynamics)
 from sharegoods import equilibria, game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import best_response_dynamics
-from sharegoods.equilibria import (_follower_claims, _sggac_ne_masks,
-                                   empirical_cost_stats,
+from sharegoods.equilibria import (_admit, _dominating_owner_sets,
+                                   _follower_claims, empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
@@ -34,9 +35,11 @@ class TestEnumeration:
         sets = enumerate_ne_owner_sets_sgg(ng.complete(4), 1)
         assert sets == [frozenset({i}) for i in range(4)]
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_ne_owner_sets_sgg(ng.chain(25), 1)
+    def test_chain30(self):
+        """A path beyond the 20-node cap the listing once had: its
+        independent dominating sets have 10 to 15 nodes."""
+        sizes = {len(s) for s in enumerate_ne_owner_sets_sgg(ng.chain(30), 1)}
+        assert sizes == set(range(10, 16))
 
     def test_matches_brute_force(self):
         rng = random.Random(17)
@@ -118,10 +121,11 @@ class TestSggacEnumeration:
                                random_graph(rng, n2, rng.random() * 0.7),
                                isolated=rng.randint(0, 8 - n1 - n2))
             for k in (1, 2, 3):
+                cov = cover_masks(g, k)
                 for xi in (1, 2, 3, 4):
                     cfg = GameConfig(SGG_AC, k, xi=xi)
                     expected = brute_force_sggac_ne_owner_sets(g, cfg)
-                    masks = _sggac_ne_masks(g, k, xi)
+                    masks = _dominating_owner_sets(cov, _admit(cov, SGG_AC, xi))
                     assert len(masks) == len(set(masks)) == len(expected)
                     assert {frozenset(i for i in range(g.n) if m >> i & 1)
                             for m in masks} == expected
@@ -190,9 +194,36 @@ class TestExactEfficiency:
                 assert 1 <= report.pos <= report.poa
                 assert report.opt_cost <= report.best_ne_cost
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            exact_efficiency(ng.chain(30), [GameConfig(SGG, 1)])
+    def test_karate_sgg(self):
+        """The paper's karate graph (n=34) at k=1..4: worst, best and
+        optimal owner counts."""
+        expected = {1: (20, 4, 4), 2: (4, 2, 2), 3: (2, 1, 1), 4: (2, 1, 1)}
+        for k, costs in expected.items():
+            report = exact_efficiency(ng.karate(), [GameConfig(SGG, k)])[0]
+            assert (report.worst_ne_cost, report.best_ne_cost,
+                    report.opt_cost) == costs, k
+
+    def test_chain30_sgg(self):
+        report = exact_efficiency(ng.chain(30), [GameConfig(SGG, 1)])[0]
+        assert (report.worst_ne_cost, report.best_ne_cost) == (15, 10)
+
+    def test_matches_listing(self):
+        """The two bounded searches give the largest and the smallest
+        owner set of the full listing, on graphs of up to 14 nodes in two
+        random parts plus isolated nodes."""
+        rng = random.Random(47)
+        for _ in range(12):
+            n1 = rng.randint(1, 12)
+            n2 = rng.randint(0, 12 - n1)
+            g = disjoint_union(random_graph(rng, n1, rng.random() * 0.6),
+                               random_graph(rng, n2, rng.random() * 0.6),
+                               isolated=rng.randint(0, 14 - n1 - n2))
+            for k in (1, 2, 3):
+                cfgs = [GameConfig(SGG, k)] + [
+                    GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 3, 4)]
+                for cfg, report in zip(cfgs, exact_efficiency(g, cfgs)):
+                    assert (report.worst_ne_cost, report.best_ne_cost) == \
+                        listed_ne_sizes(g, cfg), (g.n, g.edges, cfg)
 
     def test_grid_equals_single_configs(self, monkeypatch):
         """A grid computes the optimum once and returns the reports of one
