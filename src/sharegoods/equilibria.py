@@ -35,7 +35,8 @@ class CostStats:
 
 
 def _dominating_owner_sets(cov: list[int], admit,
-                           objective: str | None = None) -> list[int]:
+                           objective: str | None = None,
+                           xi: int | None = None) -> list[int]:
     """Distance-k dominating owner sets, as bitmasks, that admit lets
     through, given the closed k-ball masks cov: all of them with no
     objective; with "smallest" or "largest", each one that beats the one
@@ -46,8 +47,10 @@ def _dominating_owner_sets(cov: list[int], admit,
     admit(i, chosen) is asked when i joins the bitmask chosen (which then
     holds i); a False cuts every set that extends chosen, so admit may
     reject only when no such set can qualify. "smallest" cuts on the B&B's
-    disjoint-coverer bound, "largest" on the undecided nodes; a search of
-    more than optimum.NODE_BUDGET nodes raises a RuntimeError.
+    disjoint-coverer bound, "largest" on _largest_bound, given xi, the
+    followers each contested owner holds under SGG-AC, or None under SGG,
+    whose owners are never contested; a search of more than
+    optimum.NODE_BUDGET nodes raises a RuntimeError.
     """
     n = len(cov)
     due = [0] * n
@@ -57,13 +60,16 @@ def _dominating_owner_sets(cov: list[int], admit,
     best = n + 1 if objective == "smallest" else -1
     searched = 0
 
-    def rec(i: int, chosen: int, undominated: int, count: int) -> None:
+    # unc: the chosen owners with no other chosen owner in their ball.
+    def rec(i: int, chosen: int, undominated: int, unc: int,
+            count: int) -> None:
         nonlocal best, searched
         searched += 1
         if searched > optimum.NODE_BUDGET:
             raise RuntimeError(f"the equilibrium search stopped after "
                                f"{searched - 1} nodes searched (its budget)")
-        if objective == "largest" and count + n - i <= best or (
+        if objective == "largest" and _largest_bound(
+                cov, i, count, unc, undominated, xi) <= best or (
                 objective == "smallest" and count + _disjoint_cover_bound(
                     cov, undominated, (1 << i) - 1 & ~chosen) >= best):
             return
@@ -73,12 +79,44 @@ def _dominating_owner_sets(cov: list[int], admit,
             return
         with_i = chosen | 1 << i
         if admit(i, with_i):
-            rec(i + 1, with_i, undominated & ~cov[i], count + 1)
+            # i contests the owners in its ball, and is uncontested itself
+            # iff no owner lies there, that is iff i is undominated.
+            rec(i + 1, with_i, undominated & ~cov[i],
+                (unc & ~cov[i]) | (undominated & 1 << i), count + 1)
         if not undominated & due[i]:
-            rec(i + 1, chosen, undominated, count)
+            rec(i + 1, chosen, undominated, unc, count)
 
-    rec(0, 0, (1 << n) - 1, 0)
+    rec(0, 0, (1 << n) - 1, 0, 0)
     return masks
+
+
+def _largest_bound(cov: list[int], i: int, count: int, unc: int,
+                   undominated: int, xi: int | None) -> int:
+    """Upper bound on the size of an admitted dominating owner set that
+    extends a search state: count owners chosen below node i, unc of them
+    with no other owner in their ball, and the undominated nodes (those
+    with no chosen owner in their ball).
+
+    An owner ends uncontested only if it is in unc or is an undominated
+    node from i on, and uncontested owners are pairwise more than k hops
+    apart: each clique of a greedy clique cover of those nodes in G^k holds
+    at most one. An owner in unc lies in no undominated node's ball, so it
+    is a clique of its own. Under SGG every owner is uncontested. Under
+    SGG-AC, a set of s owners, u of them uncontested, gives each contested
+    owner xi followers among the non-owners: xi·(s - u) <= n - s."""
+    n = len(cov)
+    q = unc.bit_count()
+    rest = undominated >> i << i
+    while rest:
+        q += 1
+        cand = rest
+        while cand:
+            low = cand & -cand
+            rest ^= low
+            cand &= cov[low.bit_length() - 1] ^ low
+    if xi is not None:
+        q = (xi * q + n) // (xi + 1)
+    return min(count + n - i, q)
 
 
 def _members(mask: int) -> list[int]:
@@ -176,8 +214,9 @@ def exact_efficiency(g: Graph,
     reports = []
     for cfg in cfgs:
         admit = _admit(cov, cfg.variant, cfg.xi)
-        worst, best = (
-            cfg.p * _dominating_owner_sets(cov, admit, side)[-1].bit_count()
+        # cfg.xi is None under SGG, whose owners have no followers.
+        worst, best = (cfg.p * _dominating_owner_sets(
+            cov, admit, side, cfg.xi)[-1].bit_count()
             for side in ("largest", "smallest"))
         reports.append(EfficiencyReport(
             opt_cost=opt.cost, worst_ne_cost=worst, best_ne_cost=best,

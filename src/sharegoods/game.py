@@ -241,7 +241,13 @@ def parse_profile(text: str) -> Profile:
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'node strategy'")
-        entries[int(tokens[0])] = int(tokens[1])
+        try:
+            node, strategy = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer token") from None
+        if node in entries:
+            raise ValueError(f"line {lineno}: duplicate node id")
+        entries[node] = strategy
     if sorted(entries) != list(range(len(entries))):
         raise ValueError("profile must cover node ids 0..n-1 exactly once")
     return [entries[i] for i in range(len(entries))]

@@ -189,6 +189,24 @@ def brute_force_sggac_ne_owner_sets(g: Graph,
     return out
 
 
+def brute_force_ne_owner_masks(g: Graph, cfg: GameConfig) -> list[int]:
+    """Owner sets of all Nash profiles of either variant, as bitmasks, from
+    the brute-force listings above."""
+    if cfg.variant == SGG:
+        sets = brute_force_sgg_ne_owner_sets(g, cfg)
+    else:
+        sets = brute_force_sggac_ne_owner_sets(g, cfg)
+    return [sum(1 << i for i in s) for s in sets]
+
+
+def largest_ne_extension(ne_masks: list[int], i: int, chosen: int) -> int:
+    """Size of the largest equilibrium owner set among ne_masks that holds
+    exactly the nodes of chosen below node i, or -1 if none does."""
+    below = (1 << i) - 1
+    return max((m.bit_count() for m in ne_masks if m & below == chosen),
+               default=-1)
+
+
 # The equilibrium owner-set listing and the SGG-AC admit rule as they stood
 # before exact worst/best equilibria came from two bounded searches, kept
 # verbatim as the reference whose extreme sizes those searches must give.

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from _oracles import (brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
+from _oracles import (ball_masks, brute_force_ne_owner_masks,
+                      brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
                       brute_force_sggac_ne_owner_sets, disjoint_union,
-                      is_nash, listed_ne_sizes, random_graph,
+                      is_nash, largest_ne_extension, listed_ne_sizes,
+                      listing_follower_claims, random_graph,
                       reference_dynamics)
 from sharegoods import equilibria, game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import best_response_dynamics
 from sharegoods.equilibria import (_admit, _dominating_owner_sets,
-                                   _follower_claims, empirical_cost_stats,
+                                   _follower_claims, _largest_bound,
+                                   empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
@@ -164,6 +167,52 @@ class TestSggacEnumeration:
         assert cut > 0
 
 
+class TestUpperBound:
+    def test_never_below_largest_extension(self):
+        """At a search state (node i, the admitted owners chosen below i),
+        the largest side's bound is at least the size of every admitted
+        dominating owner set that adds only nodes from i on."""
+        rng = random.Random(53)
+        tight = 0
+        for trial in range(24):
+            n1 = rng.randint(1, 7)
+            g = disjoint_union(random_graph(rng, n1, rng.random() * 0.7),
+                               random_graph(rng, rng.randint(0, 7 - n1),
+                                            rng.random() * 0.7),
+                               isolated=trial % 3)
+            n = g.n
+            for k in (1, 2, 3):
+                cov = ball_masks(g, k)
+                for cfg in [GameConfig(SGG, k)] + [
+                        GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 3, 4)]:
+                    ne_masks = brute_force_ne_owner_masks(g, cfg)
+                    for _ in range(10):
+                        i = rng.randint(0, n)
+                        # Half the states lie on an equilibrium's path.
+                        chosen = (rng.choice(ne_masks) if rng.random() < 0.5
+                                  else rng.getrandbits(n)) & (1 << i) - 1
+                        owners = [o for o in range(n) if chosen >> o & 1]
+                        if cfg.variant == SGG:
+                            admitted = all(cov[o] & chosen == 1 << o
+                                           for o in owners)
+                        else:
+                            admitted = listing_follower_claims(
+                                cov, chosen, cfg.xi) is not None
+                        if not admitted:
+                            continue
+                        unc = sum(1 << o for o in owners
+                                  if cov[o] & chosen == 1 << o)
+                        undominated = sum(1 << v for v in range(n)
+                                          if not cov[v] & chosen)
+                        bound = _largest_bound(cov, i, len(owners), unc,
+                                               undominated, cfg.xi)
+                        largest = largest_ne_extension(ne_masks, i, chosen)
+                        assert bound >= largest, (g.n, g.edges, cfg, i,
+                                                  chosen)
+                        tight += bound == largest
+        assert tight > 1000
+
+
 class TestExactEfficiency:
     def test_star10_sgg(self):
         report = exact_efficiency(ng.star(10), [GameConfig(SGG, 1)])[0]
@@ -202,6 +251,15 @@ class TestExactEfficiency:
             report = exact_efficiency(ng.karate(), [GameConfig(SGG, k)])[0]
             assert (report.worst_ne_cost, report.best_ne_cost,
                     report.opt_cost) == costs, k
+
+    def test_karate_sggac_table4(self):
+        """The paper's karate graph under SGG-AC at xi = 6 and Table 4's
+        k = 2..4: optimal cost, PoA and PoS."""
+        expected = {2: (2, 3.5, 1), 3: (1, 5, 1), 4: (1, 5, 1)}
+        for k, values in expected.items():
+            report = exact_efficiency(ng.karate(),
+                                      [GameConfig(SGG_AC, k, xi=6)])[0]
+            assert (report.opt_cost, report.poa, report.pos) == values, k
 
     def test_chain30_sgg(self):
         report = exact_efficiency(ng.chain(30), [GameConfig(SGG, 1)])[0]

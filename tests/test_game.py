@@ -332,6 +332,10 @@ def test_profile_serialization_roundtrip():
     assert parse_profile(text) == s
     with pytest.raises(ValueError):
         parse_profile("0 1\n2 0")
+    with pytest.raises(ValueError, match="^line 3: duplicate node id$"):
+        parse_profile("0 1\n1 0\n0 0\n")
+    with pytest.raises(ValueError, match="^line 2: non-integer token$"):
+        parse_profile("0 1\n1 x\n")
 
 
 def test_owners_helper():
