@@ -169,8 +169,8 @@ def _dataset_label(spec: FamilySpec) -> str:
     return f"{spec.family}({spec.n})"
 
 
-def presets(name: str, runs: int = 1000, master_seed: int = 0,
-            out: str | None = None) -> list[ExperimentConfig]:
+def presets(name: str, runs: int = 1000,
+            master_seed: int = 0) -> list[ExperimentConfig]:
     """Fully populated experiment configurations for the benchmark tables
     (p=1, b=2, 1000 runs; xi grid 1/2/5/10/20 at k=1; xi=6 for k in 2..4)."""
     def rows(specs, k, xi_grid):
@@ -178,12 +178,10 @@ def presets(name: str, runs: int = 1000, master_seed: int = 0,
         for spec in specs:
             g = netgraph.generate(spec)
             label = _dataset_label(spec)
-            configs.append(ExperimentConfig(label, g, SGG, k, runs=runs,
-                                            master_seed=master_seed, out=out))
-            configs.append(ExperimentConfig(label, g, SGG_AC, k,
-                                            xi_values=tuple(xi_grid),
-                                            runs=runs,
-                                            master_seed=master_seed, out=out))
+            for variant, xis in ((SGG, None), (SGG_AC, tuple(xi_grid))):
+                configs.append(ExperimentConfig(
+                    label, g, variant, k, xi_values=xis, runs=runs,
+                    master_seed=master_seed))
         return configs
 
     if name == "table3_synthetic":
@@ -233,7 +231,16 @@ def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
     return _dataset_label(spec), g
 
 
+# The config keys of the graph; each family flag stores into its key.
+GRAPH_KEYS = ("edge_list", "family", "n", "m", "arm_len", "prob",
+              "graph_seed")
+
+
 def config_from_values(values: dict) -> ExperimentConfig:
+    unknown = set(values).difference(
+        GRAPH_KEYS, "variant k b p a xi runs seed analyses out".split())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     dataset, g = _build_graph_from_keys(values)
     variant = values.get("variant", SGG)
     xi_values = None
@@ -256,11 +263,6 @@ def config_from_values(values: dict) -> ExperimentConfig:
         analyses=analyses,
         out=values.get("out"),
     )
-
-
-# The config keys of the graph; each family flag stores into its key.
-GRAPH_KEYS = ("edge_list", "family", "n", "m", "arm_len", "prob",
-              "graph_seed")
 
 
 def _family_graph_from_args(args) -> tuple[str, Graph]:
@@ -327,8 +329,7 @@ def main(argv=None) -> int:
             else:
                 _write_rows(rows, sys.stdout)
         elif args.command == "preset":
-            configs = presets(args.name, runs=args.runs,
-                              master_seed=args.seed, out=args.out)
+            configs = presets(args.name, args.runs, args.seed)
             rows = []
             for config in configs:
                 rows.extend(compute_row(config))
@@ -346,7 +347,8 @@ def main(argv=None) -> int:
                 Path(args.out).write_text(export_ilp(g, args.k, args.p))
                 print(f"wrote LP for {label} (k={args.k}) to {args.out}")
     # RuntimeError covers a solver that gave up (dynamics, a stabilize
-    # repair, an equilibrium search out of nodes) and RecursionError.
+    # repair, an equilibrium search out of nodes) and RecursionError, which
+    # the augmenting paths of _follower_claims can still raise.
     except (ConfigError, netgraph.ParseError, ValueError, OSError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,11 +59,12 @@ def _dominating_owner_sets(cov: list[int], admit,
     masks: list[int] = []
     best = n + 1 if objective == "smallest" else -1
     searched = 0
-
-    # unc: the chosen owners with no other chosen owner in their ball.
-    def rec(i: int, chosen: int, undominated: int, unc: int,
-            count: int) -> None:
-        nonlocal best, searched
+    # A search node: the next node to decide, the chosen owners, the
+    # undominated nodes, unc (the chosen owners with no other chosen owner in
+    # their ball) and the owner count. Include is pushed last: it runs first.
+    stack = [(0, 0, (1 << n) - 1, 0, 0)]
+    while stack:
+        i, chosen, undominated, unc, count = stack.pop()
         searched += 1
         if searched > optimum.NODE_BUDGET:
             raise RuntimeError(f"the equilibrium search stopped after "
@@ -72,21 +73,20 @@ def _dominating_owner_sets(cov: list[int], admit,
                 cov, i, count, unc, undominated, xi) <= best or (
                 objective == "smallest" and count + _disjoint_cover_bound(
                     cov, undominated, (1 << i) - 1 & ~chosen) >= best):
-            return
+            continue
         if i == n:
             masks.append(chosen)
             best = count
-            return
+            continue
+        if not undominated & due[i]:
+            stack.append((i + 1, chosen, undominated, unc, count))
         with_i = chosen | 1 << i
         if admit(i, with_i):
             # i contests the owners in its ball, and is uncontested itself
             # iff no owner lies there, that is iff i is undominated.
-            rec(i + 1, with_i, undominated & ~cov[i],
-                (unc & ~cov[i]) | (undominated & 1 << i), count + 1)
-        if not undominated & due[i]:
-            rec(i + 1, chosen, undominated, unc, count)
-
-    rec(0, 0, (1 << n) - 1, 0, 0)
+            stack.append((i + 1, with_i, undominated & ~cov[i],
+                          (unc & ~cov[i]) | (undominated & 1 << i),
+                          count + 1))
     return masks
 
 

@@ -30,10 +30,6 @@ class OptResult:
     nodes_explored: int
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def cover_masks(g: Graph, k: int) -> list[int]:
     """Closed k-hop neighbourhood of each node as a bitmask over node ids."""
     masks = []
@@ -106,58 +102,19 @@ def _disjoint_cover_bound(cov: list[int], uncovered: int,
     return count
 
 
-def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
-                         node_budget: int = NODE_BUDGET) -> OptResult:
+def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
     """Exact minimum distance-k dominating set by branch-and-bound.
 
     Each connected component is searched on its own, starting from the
     greedy set restricted to it, and the component optima are united. The
-    node_budget is shared by all components: once the search exceeds it,
-    the current and the remaining components keep their incumbents and the
-    result is flagged proven_optimal=False.
+    search loops over an explicit stack, so no recursion limit caps its
+    depth. NODE_BUDGET, read at each call, is shared by all components:
+    once the search exceeds it, the current and the remaining components
+    keep their incumbents and the result is flagged proven_optimal=False.
     """
     cov = cover_masks(g, k)
     greedy = min_dominating_greedy(g, k)
-    best_size = 0
-    incumbent: set[int] = set()
     explored = 0
-
-    def branch(chosen: list[int], uncovered: int, forbidden: int) -> None:
-        nonlocal best_size, incumbent, explored
-        explored += 1
-        if explored > node_budget:
-            raise _BudgetExceeded
-        if uncovered == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                incumbent = set(chosen)
-            return
-        if len(chosen) + _disjoint_cover_bound(cov, uncovered,
-                                               forbidden) >= best_size:
-            return
-        # Branch on the uncovered node with the most available coverers.
-        pick, pick_deg = -1, -1
-        m = uncovered
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (cov[v] & ~forbidden).bit_count()
-            if deg > pick_deg:
-                pick, pick_deg = v, deg
-        candidates = []
-        m = cov[pick] & ~forbidden
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            candidates.append(c)
-        candidates.sort(key=lambda c: (-(cov[c] & uncovered).bit_count(), c))
-        local_forbidden = forbidden
-        for c in candidates:
-            chosen.append(c)
-            branch(chosen, uncovered & ~cov[c], local_forbidden)
-            chosen.pop()
-            local_forbidden |= 1 << c
-
     # Balls never cross components, so the optimum is the union of the
     # component optima; searching them apart avoids a product search tree.
     owners: set[int] = set()
@@ -166,11 +123,51 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0,
         comp_mask = sum(1 << v for v in comp)
         incumbent = {v for v in greedy if (comp_mask >> v) & 1}
         best_size = len(incumbent)
-        if proven:
-            try:
-                branch([], comp_mask, 0)
-            except _BudgetExceeded:
+        # A search node: the owner count, the owners as linked (owner, rest)
+        # pairs, the uncovered nodes, and the nodes earlier siblings chose.
+        stack = [(0, None, comp_mask, 0)] if proven else []
+        while stack:
+            size, chosen, uncovered, forbidden = stack.pop()
+            explored += 1
+            if explored > NODE_BUDGET:
                 proven = False
+                break
+            if uncovered == 0:
+                if size < best_size:
+                    best_size = size
+                    incumbent = set()
+                    while chosen:
+                        c, chosen = chosen
+                        incumbent.add(c)
+                continue
+            if size + _disjoint_cover_bound(cov, uncovered,
+                                            forbidden) >= best_size:
+                continue
+            # Branch on the uncovered node with the most available coverers.
+            pick, pick_deg = -1, -1
+            m = uncovered
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                deg = (cov[v] & ~forbidden).bit_count()
+                if deg > pick_deg:
+                    pick, pick_deg = v, deg
+            candidates = []
+            m = cov[pick] & ~forbidden
+            while m:
+                c = (m & -m).bit_length() - 1
+                m &= m - 1
+                candidates.append(c)
+            # Best gain first; each later candidate excludes the earlier
+            # ones. Pushed in reverse, so the first is searched first.
+            candidates.sort(key=lambda c: (-(cov[c] & uncovered).bit_count(),
+                                           c))
+            children = []
+            for c in candidates:
+                children.append((size + 1, (c, chosen), uncovered & ~cov[c],
+                                 forbidden))
+                forbidden |= 1 << c
+            stack.extend(reversed(children))
         owners |= incumbent
     return OptResult(owners=owners, cost=p * len(owners),
                      proven_optimal=proven, nodes_explored=explored)

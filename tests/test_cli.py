@@ -159,6 +159,12 @@ class TestConfigFile:
         cfg_path.write_text("family = unknown_family\n")
         assert main(["run", str(cfg_path)]) == 2
         assert "error:" in capsys.readouterr().err
+        # Misspelt keys are rejected, not ignored.
+        cfg_path.write_text("family = chain\nn = 6\n"
+                            "anlyses = exact_efficiency\nrun = 3\n")
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown config keys: ['anlyses', 'run']\n"
 
 
 class TestErrors:

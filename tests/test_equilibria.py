@@ -221,6 +221,12 @@ class TestExactEfficiency:
         assert report.worst_ne_cost == 9
         assert report.poa == 9 and report.pos == 1
 
+    def test_star1200_sgg(self):
+        # Both searches decide 1200 nodes in a row, deeper than a search
+        # that recursed once per node could go.
+        report = exact_efficiency(ng.star(1200), [GameConfig(SGG, 1)])[0]
+        assert (report.worst_ne_cost, report.best_ne_cost) == (1199, 1)
+
     def test_figure1_sgg(self, figure1_graph):
         report = exact_efficiency(figure1_graph, [GameConfig(SGG, 1)])[0]
         assert report.opt_cost == 1

@@ -1,9 +1,11 @@
 import random
+import sys
 
 from _oracles import (ball_masks, disjoint_union, exhaustive_min_dominating,
                       random_graph, reference_min_dominating_exact,
                       scan_greedy_dominating)
 from sharegoods import netgraph as ng
+from sharegoods import optimum
 from sharegoods.game import is_distance_k_dominating
 from sharegoods.optimum import (_disjoint_cover_bound, export_ilp,
                                 min_dominating_exact, min_dominating_greedy)
@@ -74,10 +76,31 @@ class TestExact:
                 assert is_distance_k_dominating(g, k, r.owners)
                 assert len(min_dominating_greedy(g, k)) >= len(r.owners)
 
-    def test_budget_exceeded_returns_incumbent(self):
+    def test_budget_exceeded_returns_incumbent(self, monkeypatch):
         g = ng.er_random(40, 0.1, seed=3)
-        r = min_dominating_exact(g, 1, node_budget=2)
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 2)
+        r = min_dominating_exact(g, 1)
         assert not r.proven_optimal
+        assert is_distance_k_dominating(g, 1, r.owners)
+
+    def test_deep_ladder_needs_no_recursion(self):
+        # A 2x500 ladder: rung i joins 2i and 2i+1, the rails run 2i to 2i+2
+        # and 2i+1 to 2i+3. Its search goes 251 owners deep, which a solver
+        # that recursed once per owner could not do in 150 spare frames.
+        edges = [(2 * i, 2 * i + 1) for i in range(500)]
+        edges += [(j, j + 2) for j in range(998)]
+        g = ng.Graph(1000, edges)
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            r = min_dominating_exact(g, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert r.proven_optimal and r.cost == 251
+        assert r.nodes_explored == 997
         assert is_distance_k_dominating(g, 1, r.owners)
 
     def test_bound_families(self):
@@ -110,10 +133,11 @@ class TestExactComponents:
         assert b.cost == 2 * a.cost
         assert b.nodes_explored == 2 * a.nodes_explored
 
-    def test_budget_shared_across_components(self):
+    def test_budget_shared_across_components(self, monkeypatch):
         one = ng.er_random(30, 0.2, 5)
         g = disjoint_union(one, one, isolated=2)
-        r = min_dominating_exact(g, 1, node_budget=3)
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 3)
+        r = min_dominating_exact(g, 1)
         assert not r.proven_optimal
         assert r.nodes_explored <= 4
         assert is_distance_k_dominating(g, 1, r.owners)
@@ -146,11 +170,12 @@ class TestLowerBound:
                     else:
                         assert bound == n + 1
 
-    def test_proves_sparse_er_within_small_budget(self):
+    def test_proves_sparse_er_within_small_budget(self, monkeypatch):
         # The earlier 2k-ball packing bound ran past these budgets.
         for g, budget, expected in [(ng.er_random(60, 0.1, 2), 10_000, 12),
                                     (ng.er_random(80, 0.075, 1), 20_000, 14)]:
-            r = min_dominating_exact(g, 1, node_budget=budget)
+            monkeypatch.setattr(optimum, "NODE_BUDGET", budget)
+            r = min_dominating_exact(g, 1)
             assert r.proven_optimal and r.cost == expected
 
 
