@@ -94,8 +94,9 @@ def _optimum(g: Graph, k: int, p: float):
 
 def compute_row(config: ExperimentConfig) -> list[dict]:
     """The CSV rows of one experiment, one per (variant, xi) in order. The
-    dynamics of all rows run together, so each run's start is drawn once
-    for the whole xi grid."""
+    dynamics of all rows run together: each run is drawn once for the
+    whole xi grid and swept once per group of xi values that decide
+    alike."""
     g = config.graph
     cfgs = config.cfgs
     analyses = config.analyses

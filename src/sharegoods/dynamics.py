@@ -8,6 +8,15 @@ response to one of its best responses drawn uniformly. It provably reaches
 a Nash equilibrium within three sweeps; we count sweeps and fail loudly if
 a fourth would be needed.
 
+One run serves a list of configs that share variant and k
+(`best_response_grid`). SGG never reads xi, b or p, so all its configs
+follow one trajectory. Under SGG-AC a node's move depends on xi only
+through `flw[i] < xi`, so the configs' xi values sweep together as one
+group until a node whose decision differs across them; there the group
+splits in two, the xi values that rent and those that buy, and each part
+resumes from that node with its own copy of the state and of the
+generator. Each xi thus decides and draws exactly as it would alone.
+
 Every draw is written out over `rng.getrandbits`, as CPython's
 `random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
 `r = getrandbits(b)` redrawn while r >= m; `choice(seq)` is
@@ -20,6 +29,7 @@ has one best response, so it draws nothing.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -54,7 +64,8 @@ def draw_start(g: Graph, cfg: GameConfig, seed: int):
     """What a run draws before its first sweep: the start profile's
     `game.State`, the node order, and the generator right after drawing
     them, as a (state, order, rng) triple. It depends on the seed, the
-    graph, the variant and k, but not on xi or a."""
+    graph, the variant and k, but not on xi or a, so one draw serves every
+    config of a `best_response_grid` run."""
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     if cfg.variant == SGG:
@@ -81,29 +92,56 @@ def draw_start(g: Graph, cfg: GameConfig, seed: int):
     return game.State(g, cfg, s), order, rng
 
 
-def best_response_dynamics(g: Graph, cfg: GameConfig, seed: int, *,
-                           start=None) -> DynamicsResult:
-    """Run best-response dynamics to a Nash equilibrium (at most 3 passes).
-
-    `start` is what `draw_start(g, cfg, seed)` returns, drawn here when not
-    given. A caller running one seed under several xi may draw it once and
-    pass each xi a `State.copy` with the generator set back to the state it
-    was in after the draw."""
-    state, order, rng = draw_start(g, cfg, seed) if start is None else start
+def best_response_grid(g: Graph, cfgs: list[GameConfig],
+                       seed: int) -> list[DynamicsResult]:
+    """`best_response_dynamics(g, cfg, seed)` for each cfg of cfgs, which
+    must share variant and k, from one run: one draw of the start, and one
+    trajectory per group of xi values that decide alike (all SGG configs
+    are one group). Configs of one group share one result object."""
+    state, order, rng = draw_start(g, cfgs[0], seed)
     getrandbits = rng.getrandbits
-    deviations = 0
-    case_counts: list[list[int]] = []
-    while True:
-        cases = [0, 0, 0, 0]
-        moves = state.sweep(order, getrandbits, cases)
-        if not moves:            # nobody moved: a Nash equilibrium
-            break
-        if len(case_counts) == 3:
-            raise RuntimeError("dynamics did not converge within 3 passes")
-        deviations += moves
-        case_counts.append(cases)
-    return DynamicsResult(profile=state.s, passes=len(case_counts),
-                          deviations=deviations, case_counts=case_counts)
+    xis = sorted({cfg.xi for cfg in cfgs})     # [None] under SGG
+    state.xi, state.top = xis[0], xis[-1]
+    results = {}
+    # Groups still to run, each with where it resumes: the nodes left in
+    # its pass, the generator state, and the cases of its passes so far.
+    todo = [(state, xis, order, None, [], [0, 0, 0, 0])]
+    while todo:
+        state, xis, nodes, rng_state, case_counts, cases = todo.pop()
+        if rng_state is not None:
+            rng.setstate(rng_state)
+        while True:
+            i = state.sweep(nodes, getrandbits, cases)
+            if i >= 0:           # xis[:cut] buy at i, xis[cut:] rent
+                cut = bisect_right(xis, state.flw[i])
+                nodes = order[order.index(i):]
+                buyers = state.copy()
+                buyers.top = xis[cut - 1]
+                todo.append((buyers, xis[:cut], nodes, rng.getstate(),
+                             case_counts[:], cases[:]))
+                xis = xis[cut:]
+                state.xi = xis[0]
+                continue
+            if not sum(cases):   # nobody moved: a Nash equilibrium
+                break
+            if len(case_counts) == 3:
+                raise RuntimeError("dynamics did not converge within 3 passes")
+            case_counts.append(cases)
+            cases = [0, 0, 0, 0]
+            nodes = order
+        result = DynamicsResult(profile=state.s, passes=len(case_counts),
+                                deviations=sum(map(sum, case_counts)),
+                                case_counts=case_counts)
+        for xi in xis:
+            results[xi] = result
+    return [results[cfg.xi] for cfg in cfgs]
+
+
+def best_response_dynamics(g: Graph, cfg: GameConfig,
+                           seed: int) -> DynamicsResult:
+    """Run best-response dynamics to a Nash equilibrium (at most 3 passes)
+    from the start `draw_start(g, cfg, seed)` draws."""
+    return best_response_grid(g, [cfg], seed)[0]
 
 
 def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:

@@ -9,7 +9,7 @@ import statistics
 from dataclasses import dataclass
 
 from . import game, optimum
-from .dynamics import best_response_dynamics, derive_seed, draw_start
+from .dynamics import best_response_dynamics, best_response_grid, derive_seed
 from .game import SGG, GameConfig
 from .netgraph import Graph
 from .optimum import _disjoint_cover_bound, cover_masks, min_dominating_exact
@@ -229,30 +229,30 @@ def empirical_cost_stats(g: Graph, cfgs: list[GameConfig], runs: int,
     """Social-cost statistics over repeated best-response dynamics runs, one
     per config, seeds derived independently from (master_seed, run index).
 
-    The configs must share variant and k, so that a run's start depends on
-    its seed alone: it is drawn once per run, and each config sweeps its own
-    copy from the generator state the draw left."""
+    The configs must share variant and k: each run is one
+    `best_response_grid` run for all of them, whose configs that decided
+    alike share one result."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if len({(cfg.variant, cfg.k) for cfg in cfgs}) > 1:
         raise ValueError("the configs must share variant and k")
-    grid = len(cfgs) > 1
     costs = [[] for _ in cfgs]
     passes = [[] for _ in cfgs]
     for r in range(runs):
         seed = derive_seed(master_seed, r)
-        start = draw_start(g, cfgs[0], seed)
-        if grid:                 # a single config skips the snapshot
-            state, order, rng = start
-            snapshot = rng.getstate()
-        for c, cfg in enumerate(cfgs):
-            if grid:
-                if c:
-                    rng.setstate(snapshot)
-                start = state.copy(cfg.xi), order, rng
-            result = best_response_dynamics(g, cfg, seed, start=start)
-            # The final sweep certified the profile as Nash, so it is in T.
-            costs[c].append(cfg.p * len(game.owners(cfg, result.profile)))
+        # A lone config runs through best_response_dynamics, the grid's
+        # one-config case, so that a wrapper of that name sees its runs.
+        results = ([best_response_dynamics(g, cfgs[0], seed)]
+                   if len(cfgs) == 1 else best_response_grid(g, cfgs, seed))
+        owned = {}           # owners per result, counted once per group
+        for c, (cfg, result) in enumerate(zip(cfgs, results)):
+            count = owned.get(id(result))
+            if count is None:
+                # The final sweep certified the profile as Nash, so it is
+                # in T.
+                count = owned[id(result)] = len(game.owners(cfg,
+                                                            result.profile))
+            costs[c].append(cfg.p * count)
             passes[c].append(result.passes)
     return [CostStats(
         runs=runs,

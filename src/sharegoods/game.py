@@ -103,13 +103,19 @@ def social_cost(g: Graph, cfg: GameConfig, s: Profile) -> float:
 class State:
     """Incremental view of a strategy profile s (held by reference): the
     follower count of each node and the number of owners inside each closed
-    k-hop neighborhood, kept current by `sweep`."""
+    k-hop neighborhood, kept current by `sweep`.
 
-    __slots__ = ("sgg", "xi", "nbhd", "s", "flw", "owners_in")
+    Under SGG-AC the state stands for a group of follower thresholds that
+    have decided alike so far, the smallest `xi` and the largest `top`. A
+    node that rents under some xi also rents under every larger one, so
+    these two decide for the group. A state built from a config holds its
+    xi alone (top == xi)."""
+
+    __slots__ = ("sgg", "xi", "top", "nbhd", "s", "flw", "owners_in")
 
     def __init__(self, g: Graph, cfg: GameConfig, s: Profile):
         self.sgg = sgg = cfg.variant == SGG
-        self.xi = cfg.xi
+        self.xi = self.top = cfg.xi
         self.nbhd = nbhd = g.closed_neighborhoods(cfg.k)
         self.s = s
         self.owners_in = owners_in = [0] * g.n
@@ -121,20 +127,24 @@ class State:
             elif not sgg:
                 flw[x] += 1
 
-    def copy(self, xi: int | None) -> State:
-        """An independent copy of this state, with follower threshold xi."""
+    def copy(self) -> State:
+        """An independent copy of this state."""
         new = State.__new__(State)
-        new.sgg, new.xi, new.nbhd = self.sgg, xi, self.nbhd
+        new.sgg, new.xi, new.top, new.nbhd = (self.sgg, self.xi, self.top,
+                                              self.nbhd)
         new.s, new.flw = self.s[:], self.flw[:]
         new.owners_in = self.owners_in[:]
         return new
 
-    def sweep(self, order, getrandbits=None, cases=None) -> int:
-        """Move each node of `order` that is off a best response to a
+    def sweep(self, nodes, getrandbits=None, cases=None) -> int:
+        """Move each node of `nodes` that is off a best response to a
         uniform one of its best responses (ball order), count the move's
-        case c in cases[c - 1], and return the number of moves. Without
-        getrandbits, only check: return 1 at the first node off a best
-        response.
+        case c in cases[c - 1], and return -1. Stop without moving at the
+        first node whose best response differs across the group's xi
+        values (a node i with another owner in range and xi <= flw[i] <
+        top), and return it: a one-xi state never stops there. Without
+        getrandbits, only check: return the first node off a best response
+        for some xi of the group, or -1 if there is none.
 
         An SGG-AC move draws best[randbelow(len(best))] over getrandbits
         (b = len(best).bit_length(), redraw b bits while >= len(best)); a
@@ -151,29 +161,29 @@ class State:
         starts accessing, 4 an owner reverts to free riding or renting.
         """
         s, flw, owners_in, nbhd = self.s, self.flw, self.owners_in, self.nbhd
-        moves = 0
         if self.sgg:                 # s[i] is 1 exactly when i owns
-            for i in order:
+            for i in nodes:
                 x = s[i]
                 if x == (0 if owners_in[i] - x else 1):
                     continue
                 if getrandbits is None:
-                    return 1
+                    return i
                 s[i] = 1 - x
                 delta = 1 - 2 * x
                 for j in nbhd[i]:
                     owners_in[j] += delta
                 cases[3 if x else 0] += 1
-                moves += 1
-            return moves
-        xi = self.xi
-        for i in order:
+            return -1
+        xi, top = self.xi, self.top
+        for i in nodes:
             x = s[i]
-            if owners_in[i] - (x == i) and flw[i] < xi:    # rents
+            if owners_in[i] - (x == i) and flw[i] < top:   # rents
+                if flw[i] >= xi:     # under top but buys under xi: a split
+                    return i
                 if x != i and s[x] == x:
                     continue
                 if getrandbits is None:
-                    return 1
+                    return i
                 best = [j for j in nbhd[i] if j != i and s[j] == j]
                 m = len(best)
                 b = m.bit_length()
@@ -194,7 +204,7 @@ class State:
                 if x == i:
                     continue
                 if getrandbits is None:
-                    return 1
+                    return i
                 while getrandbits(1):
                     pass
                 # i does not own yet: owners_in[i] counts only others.
@@ -203,11 +213,10 @@ class State:
                     owners_in[j] += 1
                 s[i] = i
                 flw[x] -= 1
-            moves += 1
-        return moves
+        return -1
 
     def is_nash(self) -> bool:
-        return not self.sweep(range(len(self.s)))
+        return self.sweep(range(len(self.s))) < 0
 
 
 def is_nash(g: Graph, cfg: GameConfig, s: Profile) -> bool:

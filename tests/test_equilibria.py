@@ -10,7 +10,7 @@ from _oracles import (ball_masks, brute_force_ne_owner_masks,
                       reference_dynamics)
 from sharegoods import equilibria, game
 from sharegoods import netgraph as ng
-from sharegoods.dynamics import best_response_dynamics
+from sharegoods.dynamics import best_response_grid, derive_seed
 from sharegoods.equilibria import (_admit, _dominating_owner_sets,
                                    _follower_claims, _largest_bound,
                                    empirical_cost_stats,
@@ -385,23 +385,22 @@ class TestEmpiricalStats:
             with pytest.raises(ValueError):
                 empirical_cost_stats(ng.star(5), cfgs, 2, 0)
 
-    def test_grid_equals_single_configs(self, monkeypatch):
-        """A grid run shares each run's start across its configs; every
+    def test_grid_equals_single_configs(self):
+        """One best_response_grid run serves all configs of a list: every
         (run, config) result must equal the reference dynamics run alone
-        on that seed, and each config's stats a call with it alone."""
-        results = []
-
-        def recorded(g, cfg, seed, **kwargs):
-            result = best_response_dynamics(g, cfg, seed, **kwargs)
-            results.append((g, cfg, seed, result))
-            return result
-        monkeypatch.setattr(equilibria, "best_response_dynamics", recorded)
+        on that seed, configs that share an xi must share one result, xi
+        groups must split on stars and chains, and each config's stats
+        must equal a call with it alone."""
         rng = random.Random(23)
         seen = set()
-        for trial in range(60):
-            g = disjoint_union(random_graph(rng, rng.randint(0, 25),
-                                            rng.random() * 0.4),
-                               isolated=rng.randint(0, 3))
+        split_on = set()
+        for trial in range(90):
+            family = trial % 9 // 3
+            n = rng.randint(2, 30)
+            g = (disjoint_union(random_graph(rng, rng.randint(0, 25),
+                                             rng.random() * 0.4),
+                                isolated=rng.randint(0, 3)),
+                 ng.star(n), ng.chain(n))[family]
             if trial < 12:                 # every kind at n = 0 and n = 1
                 g = ng.Graph(trial % 2, [])
             k = rng.randint(1, 3)
@@ -410,18 +409,26 @@ class TestEmpiricalStats:
                 cfgs = [GameConfig(SGG, k), GameConfig(SGG, k, b=3, p=2)]
             else:
                 cfgs = [GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 5, 10, 20)]
-                if kind == 2:
+                if kind == 2:              # xi = 2 again, from a
                     cfgs.append(GameConfig(SGG_AC, k, a=0.45))
             runs = rng.randint(1, 6)
             seed = rng.getrandbits(32)
-            del results[:]
+            for r in range(runs):
+                run_seed = derive_seed(seed, r)
+                results = best_response_grid(g, cfgs, run_seed)
+                assert len(results) == len(cfgs)
+                for cfg, result in zip(cfgs, results):
+                    assert result == reference_dynamics(g, cfg, run_seed), \
+                        (trial, cfg)
+                    for other, shared in zip(cfgs, results):
+                        if other.xi == cfg.xi:
+                            assert shared is result
+                if len({id(result) for result in results}) > 1:
+                    split_on.add(family)
             grid = empirical_cost_stats(g, cfgs, runs, seed)
-            assert len(results) == runs * len(cfgs)
-            for g_, cfg, run_seed, result in results:
-                assert result == reference_dynamics(g_, cfg, run_seed), \
-                    (trial, cfg)
             singles = [empirical_cost_stats(g, [cfg], runs, seed)[0]
                        for cfg in cfgs]
             assert grid == singles, (trial, cfgs)
             seen.add((kind, k))
         assert len(seen) == 9
+        assert {1, 2} <= split_on          # stars and chains split

@@ -225,7 +225,7 @@ class TestStateRule:
         in turn until one is rejected, which happens at the list's length;
         None if i does not move. An SGG move must draw nothing and land on
         1 - s_i, its one best response. Each move must leave the counts of
-        a freshly built State."""
+        a freshly built State. A one-xi state never stops at a node."""
         drawn, bits = [], []
         while True:
             calls = []
@@ -237,11 +237,11 @@ class TestStateRule:
                 return r
             state = State(g, cfg, list(s))
             cases = [0, 0, 0, 0]
-            moves = state.sweep([i], getrandbits, cases)
-            if not moves:
-                assert not calls and state.s == s and cases == [0] * 4
+            assert state.sweep([i], getrandbits, cases) == -1
+            if not sum(cases):
+                assert not calls and state.s == s
                 return None
-            assert moves == 1 and sum(cases) == 1
+            assert sum(cases) == 1
             fresh = State(g, cfg, list(state.s))
             assert (state.flw, state.owners_in) == (fresh.flw,
                                                     fresh.owners_in)
@@ -299,6 +299,117 @@ class TestStateRule:
             assert (state.s, state.flw, state.owners_in) == before
             seen.add((kind, nash))
         assert len(seen) == 6
+
+
+class TestGroupSweep:
+    """`State.sweep` for a group of follower thresholds, the smallest xi
+    and the largest top, against sweeps of each alone on one stream."""
+
+    @staticmethod
+    def instances(seed, count):
+        """(g, k, s, order, xi, top, stream seed) on stars, chains and
+        random graphs, whose nodes hold followers across [xi, top)."""
+        rng = random.Random(seed)
+        for trial in range(count):
+            n = rng.randint(1, 14)
+            g = (ng.star(n), ng.chain(n),
+                 random_graph(rng, n, rng.random() * 0.6))[trial % 3]
+            k = rng.randint(1, 2)
+            nbhd = g.closed_neighborhoods(k)
+            q = rng.random()
+            s = [i if rng.random() < q else rng.choice(nbhd[i])
+                 for i in range(g.n)]
+            order = list(range(g.n))
+            rng.shuffle(order)
+            xi = rng.randint(1, 3)
+            yield (g, k, s, order, xi, xi + rng.randint(1, 3),
+                   rng.getrandbits(32))
+
+    @staticmethod
+    def group(g, k, s, xi, top):
+        state = State(g, GameConfig(SGG_AC, k, xi=xi), list(s))
+        state.top = top
+        return state
+
+    @staticmethod
+    def alone(g, k, xi, s, nodes, rng):
+        """A one-xi sweep of nodes; it must not stop at any node."""
+        state = State(g, GameConfig(SGG_AC, k, xi=xi), list(s))
+        cases = [0, 0, 0, 0]
+        assert state.sweep(nodes, rng.getrandbits, cases) == -1
+        return state.s, state.flw, state.owners_in, cases
+
+    def test_one_xi_and_check_only_never_stop_early(self):
+        """A one-xi sweep runs to the end; a check-only sweep stops at the
+        first node off a best response under xi or top, no earlier, and
+        mutates nothing."""
+        for g, k, s, order, xi, top, seed in self.instances(5, 300):
+            off = {}
+            for x in (xi, top):
+                self.alone(g, k, x, s, order, random.Random(seed))
+                cfg = GameConfig(SGG_AC, k, xi=x)
+                off[x] = [i for i in order
+                          if s[i] not in best_response_set(g, cfg, s, i)]
+                assert State(g, cfg, list(s)).sweep(order) == \
+                    (off[x] + [-1])[0]
+            state = self.group(g, k, s, xi, top)
+            before = (list(state.s), list(state.flw), list(state.owners_in))
+            either = [i for i in order if i in off[xi] or i in off[top]]
+            assert state.sweep(order) == (either + [-1])[0]
+            assert (state.s, state.flw, state.owners_in) == before
+
+    def test_stops_at_first_split_unmutated(self):
+        """Up to where it stops, a group sweep is the sweep of xi alone and
+        of top alone: same profile, counts, cases and stream. The node it
+        stops at is the first where their best responses differ."""
+        stopped = 0
+        for g, k, s, order, xi, top, seed in self.instances(7, 400):
+            rng = random.Random(seed)
+            state = self.group(g, k, s, xi, top)
+            cases = [0, 0, 0, 0]
+            i = state.sweep(order, rng.getrandbits, cases)
+            pos = order.index(i) if i >= 0 else g.n
+            for x in (xi, top):
+                alone_rng = random.Random(seed)
+                assert self.alone(g, k, x, s, order[:pos], alone_rng) == \
+                    (state.s, state.flw, state.owners_in, cases)
+                assert alone_rng.getstate() == rng.getstate()
+            if i >= 0:
+                stopped += 1
+                assert best_response_set(
+                    g, GameConfig(SGG_AC, k, xi=xi), state.s, i) != \
+                    best_response_set(g, GameConfig(SGG_AC, k, xi=top),
+                                      state.s, i)
+        assert stopped >= 50
+
+    def test_resumed_parts_sweep_as_alone(self):
+        """At a stop the xi values up to flw[i] buy and the others rent:
+        each part, resumed at i from the stop's stream state, ends where
+        its xi's own sweep ends."""
+        resumed = 0
+        for g, k, s, order, xi, top, seed in self.instances(9, 400):
+            rng = random.Random(seed)
+            renters = self.group(g, k, s, xi, top)
+            cases = [0, 0, 0, 0]
+            i = renters.sweep(order, rng.getrandbits, cases)
+            if i < 0:
+                continue
+            resumed += 1
+            assert xi <= renters.flw[i] < top
+            snapshot = rng.getstate()
+            buyers = renters.copy()
+            buyers.top = xi
+            renters.xi = top
+            for state, x in ((buyers, xi), (renters, top)):
+                rng.setstate(snapshot)
+                part = cases[:]
+                assert state.sweep(order[order.index(i):], rng.getrandbits,
+                                   part) == -1
+                alone_rng = random.Random(seed)
+                assert self.alone(g, k, x, s, order, alone_rng) == \
+                    (state.s, state.flw, state.owners_in, part)
+                assert alone_rng.getstate() == rng.getstate()
+        assert resumed >= 50
 
 
 class TestKIndependentDominating:

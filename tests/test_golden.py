@@ -1,4 +1,5 @@
-"""Golden output: sha256 digests of CLI output at small run counts.
+"""Golden output: sha256 digests of CLI output at small run counts, and
+of `table3_synthetic` at the paper's 1000 runs.
 
 The Monte-Carlo rows depend on the exact sequence of RNG calls in the
 dynamics, so a refactor that reorders or adds a draw changes these bytes
@@ -21,6 +22,11 @@ PRESET_DIGESTS = {
     "table3_synthetic":
         "ca4825ed7987a1856ade53853c917c52c3f2d229eb63763ce1d191a4e96b3783",
 }
+
+# `preset table3_synthetic --runs 1000 --seed 0`, the CSV the benchmark
+# pins: 2,185 of its 3,000 SGG-AC runs split their xi group at least once.
+FULL_SIZE_DIGEST = \
+    "504d66e3a0267fd90e4a4411384c05b77582cb49b5bd3542e445d33dd1439f1c"
 
 # Karate, SGG-AC, k=1, xi=5: the repair turns optimum owner 5 into a
 # renter and promotes 16, so the profile pins the repair loop too.
@@ -58,6 +64,13 @@ def test_preset_csv(tmp_path, name):
     assert main(["preset", name, "--runs", "20", "--seed", "0",
                  "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == PRESET_DIGESTS[name]
+
+
+def test_full_size_table3_synthetic(tmp_path):
+    out = tmp_path / "table3_synthetic.csv"
+    assert main(["preset", "table3_synthetic", "--runs", "1000", "--seed",
+                 "0", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == FULL_SIZE_DIGEST
 
 
 def test_stabilize_profile(tmp_path):
