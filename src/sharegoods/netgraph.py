@@ -36,38 +36,37 @@ KARATE_EDGES = (
 class Graph:
     """Immutable undirected simple graph on dense node ids 0..n-1.
 
-    Closed k-hop neighborhoods are computed by BFS and cached per k, since
-    the dynamics and solvers query them heavily.
+    It keeps one sorted neighbour tuple per node and the edge count, not
+    an edge set: `edges` is built in O(m) on each access, for tests, not
+    hot paths. Closed k-hop balls are cached per k; the solvers reuse them.
     """
 
-    __slots__ = ("n", "_adj", "_edges", "_nbhd_cache")
+    __slots__ = ("n", "_adj", "_m", "_nbhd_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("node count must be non-negative")
-        edge_set = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            edge_set.add((min(u, v), max(u, v)))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._edges = frozenset(edge_set)
+        self._adj = tuple(tuple(sorted(set(a))) for a in adj)
+        self._m = sum(map(len, self._adj)) // 2
         self._nbhd_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     @property
     def edges(self) -> frozenset:
-        return self._edges
+        return frozenset((u, v) for u, a in enumerate(self._adj)
+                         for v in a if u < v)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._m
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
@@ -122,13 +121,12 @@ def load_edge_list(text: str) -> Graph:
     Node ids are remapped to dense 0-based ids preserving sorted original
     order; duplicate edges collapse; self-loops are rejected.
     """
-    raw_edges: list[tuple[int, int]] = []
-    ids: set[int] = set()
+    us: list[int] = []
+    vs: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two tokens, got {len(tokens)}")
         try:
@@ -139,11 +137,11 @@ def load_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: negative node id")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop on node {u}")
-        raw_edges.append((u, v))
-        ids.add(u)
-        ids.add(v)
-    remap = {orig: i for i, orig in enumerate(sorted(ids))}
-    return Graph(len(remap), [(remap[u], remap[v]) for u, v in raw_edges])
+        us.append(u)
+        vs.append(v)
+    remap = {orig: i for i, orig in enumerate(sorted({*us, *vs}))}
+    return Graph(len(remap), zip(map(remap.__getitem__, us),
+                                 map(remap.__getitem__, vs)))
 
 
 def star(n: int) -> Graph:

@@ -7,7 +7,10 @@ against it; `reference_min_dominating_exact` is the exact branch and bound
 with its earlier 2k-packing lower bound, whose owner sets the current bound
 must reproduce; `listed_ne_sizes` takes the largest and the smallest
 equilibrium owner set from the full listing that the exact efficiency
-analysis used before its two bounded searches."""
+analysis used before its two bounded searches; `reference_load_edge_list`
+is the edge-list loader with the per-edge set its graph once kept, so
+that the adjacency the library builds straight from the id columns is
+checked against an independent construction."""
 
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import random
 
 from sharegoods.dynamics import DynamicsResult
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
-from sharegoods.netgraph import Graph, connected_components
+from sharegoods.netgraph import Graph, ParseError, connected_components
 from sharegoods.optimum import OptResult
 
 # Absolute tolerance for money comparisons. Because p/a is never an integer,
@@ -521,3 +524,64 @@ def reference_dynamics(g: Graph, cfg: GameConfig, seed: int) -> DynamicsResult:
         passes += 1
     return DynamicsResult(profile=state.s, passes=passes,
                           deviations=deviations, case_counts=case_counts)
+
+
+class _EdgeSetGraph:
+    """The graph as `netgraph.Graph` stored it when it kept its edge set."""
+
+    def __init__(self, n: int, edges):
+        if n < 0:
+            raise ValueError("node count must be non-negative")
+        edge_set = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"self-loop at node {u}")
+            edge_set.add((min(u, v), max(u, v)))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edge_set:
+            adj[u].append(v)
+            adj[v].append(u)
+        self.n = n
+        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._edges = frozenset(edge_set)
+
+    @property
+    def edges(self) -> frozenset:
+        return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._edges)
+
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        return self._adj[i]
+
+
+def reference_load_edge_list(text: str) -> _EdgeSetGraph:
+    """`netgraph.load_edge_list` as written with a list of edge tuples and
+    a per-edge set: same ids, same edges, same `ParseError` messages."""
+    raw_edges: list[tuple[int, int]] = []
+    ids: set[int] = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise ParseError(f"line {lineno}: expected two tokens, got {len(tokens)}")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer token") from None
+        if u < 0 or v < 0:
+            raise ParseError(f"line {lineno}: negative node id")
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop on node {u}")
+        raw_edges.append((u, v))
+        ids.add(u)
+        ids.add(v)
+    remap = {orig: i for i, orig in enumerate(sorted(ids))}
+    return _EdgeSetGraph(len(remap),
+                         [(remap[u], remap[v]) for u, v in raw_edges])

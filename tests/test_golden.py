@@ -9,6 +9,7 @@ it, with the reason recorded.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -53,6 +54,29 @@ analyses   = exact_efficiency
 EXACT_CSV_DIGEST = \
     "937bdde207fde753b65dd9043af7818eb6713a57d0b2d6e593294dda7f76fa23"
 
+# A 2,000-node edge list with sparse ids up to 1e9 in no order, reversed
+# and repeated edges: the loader's id order fixes the balls, so the start
+# draws and the node order of every run. Keyed by the game's config lines.
+EDGE_LIST_RUNS = {
+    "variant = SGG-AC\nk = 1\nxi = 1,2,5\n":
+        "9ddd9324f0e58087e2e3745dfd0a670c313b4c87b35bf41b394c504357922a14",
+    "variant = SGG\nk = 2\n":
+        "d630422ca2af904d47e93740bc92d007dde15d4ef0c1d4914ad065a5b460c514",
+}
+
+
+def sparse_edge_list() -> str:
+    rng = random.Random(15)
+    n = 2000
+    ids = rng.sample(range(10**9), n)
+    edges = list(zip(ids, ids[1:]))            # every id on some edge
+    while len(edges) < 3 * n:
+        edges.append(tuple(rng.sample(ids, 2)))
+    edges += [(v, u) for u, v in rng.sample(edges, n // 4)]
+    edges += rng.sample(edges, n // 4)
+    rng.shuffle(edges)
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -89,3 +113,14 @@ def test_exact_efficiency_csv(tmp_path, capsys):
     out = tmp_path / "exact.csv"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == EXACT_CSV_DIGEST
+
+
+@pytest.mark.parametrize("game", sorted(EDGE_LIST_RUNS))
+def test_edge_list_run(tmp_path, capsys, game):
+    graph = tmp_path / "sparse.txt"
+    graph.write_text(sparse_edge_list())
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text(f"edge_list = {graph}\n{game}runs = 5\n"
+                   "analyses = dynamics\n")
+    assert main(["run", str(cfg)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == EDGE_LIST_RUNS[game]
