@@ -21,9 +21,11 @@ Every draw is written out over `rng.getrandbits`, as CPython's
 `random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
 `r = getrandbits(b)` redrawn while r >= m; `choice(seq)` is
 seq[randbelow(len(seq))], and `shuffle` swaps x[i] with x[randbelow(i + 1)]
-for i = n-1 .. 1. So an SGG-AC run's stream is the one `rng.choice` and
-`rng.shuffle` would draw. An SGG run draws only its shuffle: each SGG move
-has one best response, so it draws nothing.
+for i = n-1 .. 1. An SGG-AC renting move takes the r-th owner of the ball,
+r = randbelow(m) for the m other owners in range that `game.State` counts:
+`rng.choice`'s draw and pick over the ball-ordered owners. So an SGG-AC
+run draws what `rng.choice` and `rng.shuffle` would. An SGG run draws only its
+shuffle: each SGG move has one best response, so it draws nothing.
 """
 
 from __future__ import annotations

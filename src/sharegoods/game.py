@@ -146,10 +146,11 @@ class State:
         getrandbits, only check: return the first node off a best response
         for some xi of the group, or -1 if there is none.
 
-        An SGG-AC move draws best[randbelow(len(best))] over getrandbits
-        (b = len(best).bit_length(), redraw b bits while >= len(best)); a
-        buy, its lone best response, draws `while getrandbits(1): pass`. So
-        the stream is rng.choice's. SGG moves (to 1 - s_i) draw nothing.
+        An SGG-AC rent draws r = randbelow(m), m the other owners in range,
+        over getrandbits (b = m.bit_length(), redraw b bits while r >= m)
+        and takes the r-th of them in ball order; a buy, its lone best
+        response, draws `while getrandbits(1): pass`. So the stream and the
+        pick are rng.choice's. SGG moves (to 1 - s_i) draw nothing.
 
         SGG: free riding (b) beats buying (b - p) exactly when another owner
         is within k hops, and buying beats no access (0). SGG-AC: renting
@@ -157,8 +158,8 @@ class State:
         < xi, since p/a is never an integer; pointing at a non-owner (0) is
         never best. So i rents exactly when another owner is in range and it
         has fewer than xi followers. Cases: 1 an underprivileged node buys,
-        2 a non-owner buys despite a nearby owner, 3 an underprivileged node
-        starts accessing, 4 an owner reverts to free riding or renting.
+        2 an underprivileged node starts accessing, 3 a non-owner buys
+        despite a nearby owner, 4 an owner reverts to free riding or renting.
         """
         s, flw, owners_in, nbhd = self.s, self.flw, self.owners_in, self.nbhd
         if self.sgg:                 # s[i] is 1 exactly when i owns
@@ -177,27 +178,31 @@ class State:
         xi, top = self.xi, self.top
         for i in nodes:
             x = s[i]
-            if owners_in[i] - (x == i) and flw[i] < top:   # rents
+            m = owners_in[i] - (x == i)      # owners in range other than i
+            if m and flw[i] < top:                         # rents
                 if flw[i] >= xi:     # under top but buys under xi: a split
                     return i
                 if x != i and s[x] == x:
                     continue
                 if getrandbits is None:
                     return i
-                best = [j for j in nbhd[i] if j != i and s[j] == j]
-                m = len(best)
                 b = m.bit_length()
                 r = getrandbits(b)
                 while r >= m:
                     r = getrandbits(b)
-                new = best[r]
-                if x == i:
+                if x == i:           # i stops owning, so the walk skips it
                     for j in nbhd[i]:
                         owners_in[j] -= 1
+                    s[i] = -1
                     cases[3] += 1
                 else:
                     flw[x] -= 1
                     cases[1] += 1
+                for new in nbhd[i]:  # the r-th owner of the ball
+                    if s[new] == new:
+                        if not r:
+                            break
+                        r -= 1
                 s[i] = new
                 flw[new] += 1
             else:                                          # buys
@@ -207,8 +212,7 @@ class State:
                     return i
                 while getrandbits(1):
                     pass
-                # i does not own yet: owners_in[i] counts only others.
-                cases[2 if owners_in[i] else 0] += 1
+                cases[2 if m else 0] += 1
                 for j in nbhd[i]:
                     owners_in[j] += 1
                 s[i] = i
@@ -250,10 +254,9 @@ def parse_profile(text: str) -> Profile:
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'node strategy'")
-        try:
-            node, strategy = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer token") from None
+        if not all(t.isdigit() and t.isascii() for t in tokens):
+            raise ValueError(f"line {lineno}: non-integer token")
+        node, strategy = int(tokens[0]), int(tokens[1])
         if node in entries:
             raise ValueError(f"line {lineno}: duplicate node id")
         entries[node] = strategy

@@ -116,7 +116,7 @@ class FamilySpec:
 
 
 def load_edge_list(text: str) -> Graph:
-    """Parse an edge-list document: two integer ids per line, '#' comments.
+    """Parse an edge-list document: two ASCII-digit ids a line, '#' comments.
 
     Node ids are remapped to dense 0-based ids preserving sorted original
     order; duplicate edges collapse; self-loops are rejected.
@@ -129,12 +129,12 @@ def load_edge_list(text: str) -> Graph:
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two tokens, got {len(tokens)}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative node id")
+        u, v = tokens        # ids are ASCII digits: no sign, '_' or script
+        if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+            msg = ("negative node id" if all(t.removeprefix("-").isdigit()
+                   and t.isascii() for t in tokens) else "non-integer token")
+            raise ParseError(f"line {lineno}: {msg}")
+        u, v = int(u), int(v)
         if u == v:
             raise ParseError(f"line {lineno}: self-loop on node {u}")
         us.append(u)

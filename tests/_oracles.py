@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from sharegoods.dynamics import DynamicsResult
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
@@ -561,7 +562,8 @@ class _EdgeSetGraph:
 
 def reference_load_edge_list(text: str) -> _EdgeSetGraph:
     """`netgraph.load_edge_list` as written with a list of edge tuples and
-    a per-edge set: same ids, same edges, same `ParseError` messages."""
+    a per-edge set: same ids, same edges, same `ParseError` messages. Ids
+    are matched by a regular expression here, not by `str` methods."""
     raw_edges: list[tuple[int, int]] = []
     ids: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -571,12 +573,12 @@ def reference_load_edge_list(text: str) -> _EdgeSetGraph:
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two tokens, got {len(tokens)}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token") from None
-        if u < 0 or v < 0:
+        # A node id is ASCII decimal digits; "-" before them is negative.
+        if any(re.fullmatch(r"-?[0-9]+", t) is None for t in tokens):
+            raise ParseError(f"line {lineno}: non-integer token")
+        if any(t.startswith("-") for t in tokens):
             raise ParseError(f"line {lineno}: negative node id")
+        u, v = int(tokens[0]), int(tokens[1])
         if u == v:
             raise ParseError(f"line {lineno}: self-loop on node {u}")
         raw_edges.append((u, v))

@@ -206,6 +206,15 @@ class TestIsNash:
         assert social_cost(figure1_graph, cfg, s) == cfg.p
 
 
+def assert_valid_targets(g, cfg, s):
+    """Every strategy is 0 or 1 (SGG), or a node of the closed k-ball."""
+    if cfg.variant == SGG:
+        assert set(s) <= {0, 1}, s
+    else:
+        nbhd = g.closed_neighborhoods(cfg.k)
+        assert all(x in nbhd[i] for i, x in enumerate(s)), s
+
+
 class TestStateRule:
     """`State.sweep`'s rule, moves and counts, and `game.is_nash`, against
     the oracle's money comparisons on seeded random profiles."""
@@ -242,6 +251,7 @@ class TestStateRule:
                 assert not calls and state.s == s
                 return None
             assert sum(cases) == 1
+            assert_valid_targets(g, cfg, state.s)
             fresh = State(g, cfg, list(state.s))
             assert (state.flw, state.owners_in) == (fresh.flw,
                                                     fresh.owners_in)
@@ -300,6 +310,28 @@ class TestStateRule:
             seen.add((kind, nash))
         assert len(seen) == 6
 
+    def test_reverting_owner_walks_past_itself(self):
+        """An owner that starts renting with two other owners in range:
+        node 2 of complete(5) under owners 0, 2 and 4 draws randbelow(2)
+        and lands on 0 for r = 0 and on 4 for r = 1, never on itself."""
+        g = ng.complete(5)
+        cfg = GameConfig(SGG_AC, 1, xi=1)
+        s = [0, 0, 2, 4, 4]
+        for draws, target in (((0,), 0), ((1,), 4), ((3, 2, 0), 0)):
+            calls = []
+
+            def getrandbits(k):
+                calls.append(k)
+                return draws[len(calls) - 1]
+            state = State(g, cfg, list(s))
+            cases = [0, 0, 0, 0]
+            assert state.sweep([2], getrandbits, cases) == -1
+            assert calls == [2] * len(draws) and cases == [0, 0, 0, 1]
+            assert state.s == [0, 0, target, 4, 4]
+            fresh = State(g, cfg, list(state.s))
+            assert (state.flw, state.owners_in) == (fresh.flw,
+                                                    fresh.owners_in)
+
 
 class TestGroupSweep:
     """`State.sweep` for a group of follower thresholds, the smallest xi
@@ -334,9 +366,11 @@ class TestGroupSweep:
     @staticmethod
     def alone(g, k, xi, s, nodes, rng):
         """A one-xi sweep of nodes; it must not stop at any node."""
-        state = State(g, GameConfig(SGG_AC, k, xi=xi), list(s))
+        cfg = GameConfig(SGG_AC, k, xi=xi)
+        state = State(g, cfg, list(s))
         cases = [0, 0, 0, 0]
         assert state.sweep(nodes, rng.getrandbits, cases) == -1
+        assert_valid_targets(g, cfg, state.s)
         return state.s, state.flw, state.owners_in, cases
 
     def test_one_xi_and_check_only_never_stop_early(self):
@@ -447,6 +481,10 @@ def test_profile_serialization_roundtrip():
         parse_profile("0 1\n1 0\n0 0\n")
     with pytest.raises(ValueError, match="^line 2: non-integer token$"):
         parse_profile("0 1\n1 x\n")
+    # Only ASCII digits, though int() reads all of these (1_0 as 10).
+    for bad in ("1_0 0", "+1 0", "\u0661 0", "1 +0", "1 -1", "-0 0"):
+        with pytest.raises(ValueError, match="^line 2: non-integer token$"):
+            parse_profile(f"0 0\n{bad}\n10 0\n")
 
 
 def test_owners_helper():

@@ -14,7 +14,7 @@ from sharegoods.netgraph import (ConfigError, FamilySpec, Graph, ParseError,
 # line breaks that `str.splitlines` splits on.
 BLANKS = (" ", "\t", "  ", " \t", "\xa0", "\u3000")
 BREAKS = ("\n", "\r\n", "\r", "\x0c", "\u2028")
-BAD_LINES = ("1 2 3", "4 x", "-3 4", "7 7")
+BAD_LINES = ("1 2 3", "4 x", "-3 4", "7 7", "1_0 2", "+1 2", "\u0661 2")
 
 
 def document_lines(rng: random.Random) -> list[str]:
@@ -68,6 +68,19 @@ class TestLoadEdgeList:
             load_edge_list("0 1\n0 1 2")
         with pytest.raises(ParseError, match="line 3"):
             load_edge_list("0 1\n\n0 x")
+
+    def test_ids_are_ascii_decimal_digits(self):
+        """int() would read each of these as an id another token names
+        too; only "-" before digits is called negative."""
+        for bad in ("1_0 2\n10 3", "4 5\n+1 2", "\u0661 2\n1 3", "5 -\n",
+                    "-\u0661 2", "--3 2", "-3 x", "3 0x1"):
+            with pytest.raises(ParseError,
+                               match=r"^line \d: non-integer token$"):
+                load_edge_list(bad)
+        for bad in ("-3 4", "4 -0", "-3 -4"):
+            with pytest.raises(ParseError, match="^line 1: negative node id$"):
+                load_edge_list(bad)
+        assert load_edge_list("010 2\n10 3").n == 3
 
     def test_tabs_and_comments(self):
         g = load_edge_list("# header\n0\t1\n1 2\n")
