@@ -101,13 +101,13 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
     cfgs = config.cfgs
     analyses = config.analyses
     opt = None
-    if "optimum" in analyses or "stabilize" in analyses:
+    if {"optimum", "exact_efficiency", "stabilize"} & set(analyses):
         opt = _optimum(g, config.k, config.p)
     stats = reports = [None] * len(cfgs)
     if "dynamics" in analyses:
         stats = empirical_cost_stats(g, cfgs, config.runs, config.master_seed)
     if "exact_efficiency" in analyses:
-        reports = exact_efficiency(g, cfgs)
+        reports = exact_efficiency(g, cfgs, opt)
     if "export_lp" in analyses:    # the LP depends on the graph, k and p
         path = _side_path(config, None, ".lp")
         path.write_text(export_ilp(g, config.k, config.p))

@@ -8,20 +8,28 @@ response to one of its best responses drawn uniformly. It provably reaches
 a Nash equilibrium within three sweeps; we count sweeps and fail loudly if
 a fourth would be needed.
 
-One run serves a list of configs that share variant and k
-(`best_response_grid`). SGG never reads xi, b or p, so all its configs
-follow one trajectory. Under SGG-AC a node's move depends on xi only
-through `flw[i] < xi`, so the configs' xi values sweep together as one
-group until a node whose decision differs across them; there the group
-splits in two, the xi values that rent and those that buy, and each part
-resumes from that node with its own copy of the state and of the
-generator. Each xi thus decides and draws exactly as it would alone.
+A Monte-Carlo row is one loop (`best_response_grid`): it takes the
+row's configs, which share variant and k, and one seed per run, and sets
+up once what every run shares: the k-balls, the sorted xi grid, the node
+order template and one `random.Random`, re-seeded per run to the state
+`random.Random(seed)` starts in. A run then draws its start profile with
+its follower and owner counts in one pass (`draw_starts`) and sweeps it.
+SGG never reads xi, b or p, so all its configs follow one trajectory.
+Under SGG-AC a node's move depends on xi only through `flw[i] < xi`, so
+the configs' xi values sweep together as one group until a node whose
+decision differs across them; there the group splits in two, the xi
+values that rent and those that buy, and each part resumes from that
+node with its own copy of the state and of the generator. Each xi thus
+decides and draws exactly as it would alone. A row keeps only each
+run's owner count and passes; `best_response_dynamics` is the same loop
+for one config and one seed, and returns the whole result.
 
 Every draw is written out over `rng.getrandbits`, as CPython's
 `random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
 `r = getrandbits(b)` redrawn while r >= m; `choice(seq)` is
 seq[randbelow(len(seq))], and `shuffle` swaps x[i] with x[randbelow(i + 1)]
-for i = n-1 .. 1. An SGG-AC renting move takes the r-th owner of the ball,
+for i = n-1 .. 1, drawn here in blocks of i that share one bit width.
+An SGG-AC renting move takes the r-th owner of the ball,
 r = randbelow(m) for the m other owners in range that `game.State` counts:
 `rng.choice`'s draw and pick over the ball-ordered owners. So an SGG-AC
 run draws what `rng.choice` and `rng.shuffle` would. An SGG run draws only its
@@ -34,6 +42,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import game
 from .game import SGG, SGG_AC, GameConfig, Profile
@@ -62,88 +71,134 @@ class DynamicsResult:
     case_counts: list[list[int]] = field(default_factory=list)
 
 
-def draw_start(g: Graph, cfg: GameConfig, seed: int):
-    """What a run draws before its first sweep: the start profile's
-    `game.State`, the node order, and the generator right after drawing
-    them, as a (state, order, rng) triple. It depends on the seed, the
-    graph, the variant and k, but not on xi or a, so one draw serves every
-    config of a `best_response_grid` run."""
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
-    if cfg.variant == SGG:
-        s = [0] * g.n
-    else:
-        s = []
-        for i, ball in enumerate(g.closed_neighborhoods(cfg.k)):
-            m = len(ball) - 1
-            if not m:
-                s.append(i)      # isolated: nobody to rent from, so buy
-                continue
-            b = m.bit_length()   # a uniform node of the sorted ball but i
-            r = getrandbits(b)
-            while r >= m:
-                r = getrandbits(b)
-            s.append(ball[r] if ball[r] < i else ball[r + 1])
-    order = list(range(g.n))
-    for i in range(g.n - 1, 0, -1):       # rng.shuffle(order)
+def draw_starts(g: Graph, cfg: GameConfig, seeds: Iterable[int],
+                rng: random.Random):
+    """For each seed, re-seed rng with it (the state `random.Random(seed)`
+    starts in) and yield what a run draws before its first sweep, as
+    (s, flw, owners_in, order): the start profile with the follower and
+    owner counts of its `game.State`, counted while it is drawn, and the
+    node order. rng is left right after the draw. The start depends on the
+    seed, the graph, the variant and k, but not on xi or a, so one draw
+    serves every config of a row."""
+    n = g.n
+    nbhd = g.closed_neighborhoods(cfg.k)
+    sgg = cfg.variant == SGG
+    nodes = list(range(n))
+    # Shuffle positions i = n-1 .. 1 in runs whose draw randbelow(i + 1)
+    # takes the same b bits: i + 1 from 2**(b-1) to 2**b - 1.
+    blocks = []
+    i = n - 1
+    while i > 0:
         b = (i + 1).bit_length()
-        j = getrandbits(b)
-        while j > i:
-            j = getrandbits(b)
-        order[i], order[j] = order[j], order[i]
-    return game.State(g, cfg, s), order, rng
-
-
-def best_response_grid(g: Graph, cfgs: list[GameConfig],
-                       seed: int) -> list[DynamicsResult]:
-    """`best_response_dynamics(g, cfg, seed)` for each cfg of cfgs, which
-    must share variant and k, from one run: one draw of the start, and one
-    trajectory per group of xi values that decide alike (all SGG configs
-    are one group). Configs of one group share one result object."""
-    state, order, rng = draw_start(g, cfgs[0], seed)
+        low = (1 << (b - 1)) - 1
+        blocks.append((b, range(i, low - 1, -1)))
+        i = low - 1
     getrandbits = rng.getrandbits
-    xis = sorted({cfg.xi for cfg in cfgs})     # [None] under SGG
-    state.xi, state.top = xis[0], xis[-1]
-    results = {}
-    # Groups still to run, each with where it resumes: the nodes left in
-    # its pass, the generator state, and the cases of its passes so far.
-    todo = [(state, xis, order, None, [], [0, 0, 0, 0])]
-    while todo:
-        state, xis, nodes, rng_state, case_counts, cases = todo.pop()
-        if rng_state is not None:
-            rng.setstate(rng_state)
-        while True:
-            i = state.sweep(nodes, getrandbits, cases)
-            if i >= 0:           # xis[:cut] buy at i, xis[cut:] rent
-                cut = bisect_right(xis, state.flw[i])
-                nodes = order[order.index(i):]
-                buyers = state.copy()
-                buyers.top = xis[cut - 1]
-                todo.append((buyers, xis[:cut], nodes, rng.getstate(),
-                             case_counts[:], cases[:]))
-                xis = xis[cut:]
-                state.xi = xis[0]
-                continue
-            if not sum(cases):   # nobody moved: a Nash equilibrium
-                break
-            if len(case_counts) == 3:
-                raise RuntimeError("dynamics did not converge within 3 passes")
-            case_counts.append(cases)
-            cases = [0, 0, 0, 0]
-            nodes = order
-        result = DynamicsResult(profile=state.s, passes=len(case_counts),
-                                deviations=sum(map(sum, case_counts)),
-                                case_counts=case_counts)
+    for seed in seeds:
+        rng.seed(seed)
+        flw = [0] * n
+        owners_in = [0] * n
+        if sgg:
+            s = [0] * n
+        else:
+            s = nodes[:]
+            for i, ball in enumerate(nbhd):
+                m = len(ball) - 1
+                if not m:        # isolated: nobody to rent from, so it owns
+                    owners_in[i] = 1
+                    continue
+                b = m.bit_length()   # a uniform node of the sorted ball but i
+                r = getrandbits(b)
+                while r >= m:
+                    r = getrandbits(b)
+                x = ball[r]
+                if x >= i:
+                    x = ball[r + 1]
+                s[i] = x
+                flw[x] += 1
+        order = nodes[:]
+        for b, span in blocks:                # rng.shuffle(order)
+            for i in span:
+                j = getrandbits(b)
+                while j > i:
+                    j = getrandbits(b)
+                order[i], order[j] = order[j], order[i]
+        yield s, flw, owners_in, order
+
+
+def _trajectories(g: Graph, cfgs: list[GameConfig], seeds: Iterable[int]):
+    """Best-response dynamics for configs that share variant and k, one run
+    per seed: for each seed in turn, yield (state, xis, case_counts) once
+    per group of the configs' xi values that decided alike ([None] under
+    SGG), with the group's final `game.State` and the case counts of each
+    of its passes."""
+    grid = sorted({cfg.xi for cfg in cfgs})
+    sgg = cfgs[0].variant == SGG
+    nbhd = g.closed_neighborhoods(cfgs[0].k)
+    rng = random.Random()
+    getrandbits = rng.getrandbits
+    for s, flw, owners_in, order in draw_starts(g, cfgs[0], seeds, rng):
+        state = game.State._of(sgg, grid[0], grid[-1], nbhd, s, flw,
+                               owners_in)
+        # Groups still to run, each with where it resumes: the nodes left
+        # in its pass, the generator state, and the cases of its passes so
+        # far.
+        todo = [(state, grid, order, None, [], [0, 0, 0, 0])]
+        while todo:
+            state, xis, nodes, rng_state, case_counts, cases = todo.pop()
+            if rng_state is not None:
+                rng.setstate(rng_state)
+            while True:
+                i = state.sweep(nodes, getrandbits, cases)
+                if i >= 0:       # xis[:cut] buy at i, xis[cut:] rent
+                    cut = bisect_right(xis, state.flw[i])
+                    nodes = order[order.index(i):]
+                    buyers = state.copy()
+                    buyers.top = xis[cut - 1]
+                    todo.append((buyers, xis[:cut], nodes, rng.getstate(),
+                                 case_counts[:], cases[:]))
+                    xis = xis[cut:]
+                    state.xi = xis[0]
+                    continue
+                if not sum(cases):   # nobody moved: a Nash equilibrium
+                    break
+                if len(case_counts) == 3:
+                    raise RuntimeError(
+                        "dynamics did not converge within 3 passes")
+                case_counts.append(cases)
+                cases = [0, 0, 0, 0]
+                nodes = order
+            yield state, xis, case_counts
+
+
+def best_response_grid(g: Graph, cfgs: list[GameConfig], seeds: Iterable[int]
+                       ) -> list[tuple[list[int], list[int]]]:
+    """One Monte-Carlo row: best-response dynamics for each cfg of cfgs,
+    which must share variant and k, one run per seed. Returns, per config,
+    the owner count and the passes of each run; configs of one xi share one
+    pair of lists. Each run draws its start once and sweeps one trajectory
+    per group of xi values that decide alike."""
+    per_xi = {cfg.xi: ([], []) for cfg in cfgs}
+    n = g.n
+    for state, xis, case_counts in _trajectories(g, cfgs, seeds):
+        # Every non-owner follows one owner under SGG-AC, so the owners
+        # are the nodes that flw does not count.
+        count = state.s.count(1) if state.sgg else n - sum(state.flw)
         for xi in xis:
-            results[xi] = result
-    return [results[cfg.xi] for cfg in cfgs]
+            owned, passes = per_xi[xi]
+            owned.append(count)
+            passes.append(len(case_counts))
+    return [per_xi[cfg.xi] for cfg in cfgs]
 
 
 def best_response_dynamics(g: Graph, cfg: GameConfig,
                            seed: int) -> DynamicsResult:
     """Run best-response dynamics to a Nash equilibrium (at most 3 passes)
-    from the start `draw_start(g, cfg, seed)` draws."""
-    return best_response_grid(g, [cfg], seed)[0]
+    from the start `draw_starts` draws for seed: one run of one config."""
+    (state, _, case_counts), = _trajectories(g, [cfg], [seed])
+    return DynamicsResult(profile=state.s, passes=len(case_counts),
+                          deviations=sum(map(sum, case_counts)),
+                          case_counts=case_counts)
 
 
 def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:

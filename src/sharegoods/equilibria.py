@@ -8,11 +8,15 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from . import game, optimum
+from . import optimum
+# Nothing here calls best_response_dynamics or min_dominating_exact:
+# benchmarks/tracing.py wraps this module's bindings of them, so the
+# imports stay.
 from .dynamics import best_response_dynamics, best_response_grid, derive_seed
 from .game import SGG, GameConfig
 from .netgraph import Graph
-from .optimum import _disjoint_cover_bound, cover_masks, min_dominating_exact
+from .optimum import (OptResult, _disjoint_cover_bound, cover_masks,
+                      min_dominating_exact)
 
 
 @dataclass
@@ -53,6 +57,10 @@ def _dominating_owner_sets(cov: list[int], admit,
     optimum.NODE_BUDGET nodes raises a RuntimeError.
     """
     n = len(cov)
+    # The nodes that can be contested owners: the ball of one holds it,
+    # another owner and its xi followers.
+    ok = sum(1 << v for v in range(n)
+             if xi is not None and cov[v].bit_count() >= xi + 2)
     due = [0] * n
     for u in range(n):
         due[cov[u].bit_length() - 1] |= 1 << u
@@ -70,7 +78,7 @@ def _dominating_owner_sets(cov: list[int], admit,
             raise RuntimeError(f"the equilibrium search stopped after "
                                f"{searched - 1} nodes searched (its budget)")
         if objective == "largest" and _largest_bound(
-                cov, i, count, unc, undominated, xi) <= best or (
+                cov, i, chosen, count, unc, undominated, xi, ok) <= best or (
                 objective == "smallest" and count + _disjoint_cover_bound(
                     cov, undominated, (1 << i) - 1 & ~chosen) >= best):
             continue
@@ -90,12 +98,13 @@ def _dominating_owner_sets(cov: list[int], admit,
     return masks
 
 
-def _largest_bound(cov: list[int], i: int, count: int, unc: int,
-                   undominated: int, xi: int | None) -> int:
+def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
+                   unc: int, undominated: int, xi: int | None,
+                   ok: int) -> int:
     """Upper bound on the size of an admitted dominating owner set that
-    extends a search state: count owners chosen below node i, unc of them
-    with no other owner in their ball, and the undominated nodes (those
-    with no chosen owner in their ball).
+    extends a search state: count owners chosen below node i (the bitmask
+    chosen), unc of them with no other owner in their ball, and the
+    undominated nodes (those with no chosen owner in their ball).
 
     An owner ends uncontested only if it is in unc or is an undominated
     node from i on, and uncontested owners are pairwise more than k hops
@@ -103,7 +112,9 @@ def _largest_bound(cov: list[int], i: int, count: int, unc: int,
     at most one. An owner in unc lies in no undominated node's ball, so it
     is a clique of its own. Under SGG every owner is uncontested. Under
     SGG-AC, a set of s owners, u of them uncontested, gives each contested
-    owner xi followers among the non-owners: xi·(s - u) <= n - s."""
+    owner xi followers among the non-owners: xi·(s - u) <= n - s. And a
+    contested owner is a node of ok, whose ball holds at least xi + 2
+    nodes, chosen or from i on. Both caps grow with u, so u = q bounds s."""
     n = len(cov)
     q = unc.bit_count()
     rest = undominated >> i << i
@@ -115,7 +126,8 @@ def _largest_bound(cov: list[int], i: int, count: int, unc: int,
             rest ^= low
             cand &= cov[low.bit_length() - 1] ^ low
     if xi is not None:
-        q = (xi * q + n) // (xi + 1)
+        q += min((ok & (chosen | -(1 << i))).bit_count(),
+                 (n - q) // (xi + 1))
     return min(count + n - i, q)
 
 
@@ -200,16 +212,15 @@ def sggac_owner_set_feasible(g: Graph, k: int, xi: int,
     return sggac_witness_profile(g, k, xi, owner_set) is not None
 
 
-def exact_efficiency(g: Graph,
-                     cfgs: list[GameConfig]) -> list[EfficiencyReport]:
-    """Exact worst/best equilibrium costs against the optimum, one report
-    per config. The configs must share k and p, so that the optimum is
-    computed once."""
+def exact_efficiency(g: Graph, cfgs: list[GameConfig],
+                     opt: OptResult) -> list[EfficiencyReport]:
+    """Exact worst/best equilibrium costs against opt, the optimum at the
+    configs' k and p, one report per config. The configs must share k and
+    p, so that the one optimum serves them all."""
     if len({(cfg.k, cfg.p) for cfg in cfgs}) > 1:
         raise ValueError("the configs must share k and p")
     if g.n == 0:
         raise ValueError("exact_efficiency needs at least one node")
-    opt = min_dominating_exact(g, cfgs[0].k, p=cfgs[0].p)
     cov = cover_masks(g, cfgs[0].k)
     reports = []
     for cfg in cfgs:
@@ -229,36 +240,22 @@ def empirical_cost_stats(g: Graph, cfgs: list[GameConfig], runs: int,
     """Social-cost statistics over repeated best-response dynamics runs, one
     per config, seeds derived independently from (master_seed, run index).
 
-    The configs must share variant and k: each run is one
-    `best_response_grid` run for all of them, whose configs that decided
-    alike share one result."""
+    The configs must share variant and k: one `best_response_grid` call
+    runs every seed for all of them."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if len({(cfg.variant, cfg.k) for cfg in cfgs}) > 1:
         raise ValueError("the configs must share variant and k")
-    costs = [[] for _ in cfgs]
-    passes = [[] for _ in cfgs]
-    for r in range(runs):
-        seed = derive_seed(master_seed, r)
-        # A lone config runs through best_response_dynamics, the grid's
-        # one-config case, so that a wrapper of that name sees its runs.
-        results = ([best_response_dynamics(g, cfgs[0], seed)]
-                   if len(cfgs) == 1 else best_response_grid(g, cfgs, seed))
-        owned = {}           # owners per result, counted once per group
-        for c, (cfg, result) in enumerate(zip(cfgs, results)):
-            count = owned.get(id(result))
-            if count is None:
-                # The final sweep certified the profile as Nash, so it is
-                # in T.
-                count = owned[id(result)] = len(game.owners(cfg,
-                                                            result.profile))
-            costs[c].append(cfg.p * count)
-            passes[c].append(result.passes)
-    return [CostStats(
-        runs=runs,
-        mean_cost=statistics.fmean(cost),
-        std_cost=statistics.stdev(cost) if runs > 1 else 0.0,
-        min_cost=min(cost),
-        max_cost=max(cost),
-        mean_passes=statistics.fmean(npasses),
-    ) for cost, npasses in zip(costs, passes)]
+    seeds = (derive_seed(master_seed, r) for r in range(runs))
+    stats = []
+    for cfg, (owned, npasses) in zip(cfgs, best_response_grid(g, cfgs, seeds)):
+        cost = [cfg.p * count for count in owned]
+        stats.append(CostStats(
+            runs=runs,
+            mean_cost=statistics.fmean(cost),
+            std_cost=statistics.stdev(cost) if runs > 1 else 0.0,
+            min_cost=min(cost),
+            max_cost=max(cost),
+            mean_passes=statistics.fmean(npasses),
+        ))
+    return stats

@@ -127,14 +127,18 @@ class State:
             elif not sgg:
                 flw[x] += 1
 
+    @staticmethod
+    def _of(sgg, xi, top, nbhd, s, flw, owners_in) -> State:
+        """A state over counts its caller already holds (by reference)."""
+        new = State.__new__(State)
+        new.sgg, new.xi, new.top, new.nbhd = sgg, xi, top, nbhd
+        new.s, new.flw, new.owners_in = s, flw, owners_in
+        return new
+
     def copy(self) -> State:
         """An independent copy of this state."""
-        new = State.__new__(State)
-        new.sgg, new.xi, new.top, new.nbhd = (self.sgg, self.xi, self.top,
-                                              self.nbhd)
-        new.s, new.flw = self.s[:], self.flw[:]
-        new.owners_in = self.owners_in[:]
-        return new
+        return State._of(self.sgg, self.xi, self.top, self.nbhd, self.s[:],
+                         self.flw[:], self.owners_in[:])
 
     def sweep(self, nodes, getrandbits=None, cases=None) -> int:
         """Move each node of `nodes` that is off a best response to a
@@ -244,22 +248,3 @@ def serialize_profile(s: Profile) -> str:
     """One line per node: "node_id strategy"."""
     return "\n".join(f"{i} {x}" for i, x in enumerate(s)) + "\n"
 
-
-def parse_profile(text: str) -> Profile:
-    entries = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected 'node strategy'")
-        if not all(t.isdigit() and t.isascii() for t in tokens):
-            raise ValueError(f"line {lineno}: non-integer token")
-        node, strategy = int(tokens[0]), int(tokens[1])
-        if node in entries:
-            raise ValueError(f"line {lineno}: duplicate node id")
-        entries[node] = strategy
-    if sorted(entries) != list(range(len(entries))):
-        raise ValueError("profile must cover node ids 0..n-1 exactly once")
-    return [entries[i] for i in range(len(entries))]

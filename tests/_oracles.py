@@ -10,7 +10,8 @@ equilibrium owner set from the full listing that the exact efficiency
 analysis used before its two bounded searches; `reference_load_edge_list`
 is the edge-list loader with the per-edge set its graph once kept, so
 that the adjacency the library builds straight from the id columns is
-checked against an independent construction."""
+checked against an independent construction; `parse_profile` reads back
+what `game.serialize_profile` writes, which the program never does."""
 
 from __future__ import annotations
 
@@ -587,3 +588,23 @@ def reference_load_edge_list(text: str) -> _EdgeSetGraph:
     remap = {orig: i for i, orig in enumerate(sorted(ids))}
     return _EdgeSetGraph(len(remap),
                          [(remap[u], remap[v]) for u, v in raw_edges])
+
+
+def parse_profile(text: str) -> Profile:
+    entries = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise ValueError(f"line {lineno}: expected 'node strategy'")
+        if not all(t.isdigit() and t.isascii() for t in tokens):
+            raise ValueError(f"line {lineno}: non-integer token")
+        node, strategy = int(tokens[0]), int(tokens[1])
+        if node in entries:
+            raise ValueError(f"line {lineno}: duplicate node id")
+        entries[node] = strategy
+    if sorted(entries) != list(range(len(entries))):
+        raise ValueError("profile must cover node ids 0..n-1 exactly once")
+    return [entries[i] for i in range(len(entries))]

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from sharegoods import cli, optimum
+from sharegoods import cli, equilibria, optimum
 from sharegoods import netgraph as ng
 from sharegoods.cli import (CSV_COLUMNS, KNOWN_ANALYSES, ExperimentConfig,
                             compute_row, config_from_values, main, presets,
@@ -73,6 +73,26 @@ class TestRunExperiment:
             assert row["opt_cost"] == 4.0
             assert row["opt_proven"] is True
             assert row["mean_passes"] <= 3
+
+    def test_optimum_once_with_exact_efficiency(self, monkeypatch):
+        """analyses = optimum,exact_efficiency computes the optimum once and
+        hands it to the exact analysis."""
+        calls = []
+
+        def counted(g, k, p=1.0):
+            calls.append((g, k, p))
+            return min_dominating_exact(g, k, p=p)
+        monkeypatch.setattr(cli, "min_dominating_exact", counted)
+        monkeypatch.setattr(equilibria, "min_dominating_exact", counted)
+        cli._optimum.cache_clear()
+        config = ExperimentConfig("chain(12)", ng.chain(12), SGG_AC, 1,
+                                  xi_values=(1, 2, 5),
+                                  analyses=("optimum", "exact_efficiency"),
+                                  **SMALL)
+        rows = compute_row(config)
+        assert len(calls) == 1
+        assert [(r["opt_cost"], r["opt_proven"]) for r in rows] == \
+            [(4.0, True)] * 3
 
     def test_sgg_leaves_ac_columns_empty(self):
         config = ExperimentConfig("chain(10)", ng.chain(10), SGG, 1, **SMALL)

@@ -6,7 +6,7 @@ from _oracles import disjoint_union, is_nash, random_graph, reference_dynamics
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (best_response_dynamics, derive_seed,
-                                draw_start, stabilize)
+                                draw_starts, stabilize)
 from sharegoods.game import SGG, SGG_AC, GameConfig, VariantError
 
 
@@ -200,20 +200,52 @@ def test_getrandbits_loop_is_randbelow():
 
 
 def test_start_order_is_shuffle():
-    """`draw_start` writes rng.shuffle out over getrandbits; an SGG start
-    draws nothing else, so its order and generator state must be those of
-    rng.shuffle(list(range(n)))."""
+    """`draw_starts` writes rng.shuffle out over getrandbits, in blocks of
+    one bit width; an SGG start draws nothing else, so its order and
+    generator state must be those of rng.shuffle(list(range(n))). n runs
+    past every block edge up to 2**7, and one generator, re-seeded per
+    draw, serves every n and seed."""
     cfg = GameConfig(SGG, 1)
+    rng = random.Random(99)
     for n in range(121):
         g = ng.Graph(n, [])
         for seed in (0, n, 2 ** 64 - 1 - n):
-            rng = random.Random(seed)
+            expected = random.Random(seed)
+            if n < 2:            # no draw: the state right after seeding
+                next(draw_starts(g, cfg, [seed], rng))
+                assert rng.getstate() == expected.getstate()
             order = list(range(n))
-            rng.shuffle(order)
-            state, got, start_rng = draw_start(g, cfg, seed)
+            expected.shuffle(order)
+            (s, flw, owners_in, got), = draw_starts(g, cfg, [seed], rng)
             assert got == order, (n, seed)
-            assert start_rng.getstate() == rng.getstate()
-            assert state.s == [0] * n
+            assert rng.getstate() == expected.getstate()
+            assert s == flw == owners_in == [0] * n
+
+
+def test_sggac_start_is_choice_then_shuffle():
+    """An SGG-AC start draws one rng.choice over each node's ball but
+    itself (an isolated node owns) and then rng.shuffle, with the follower
+    and owner counts of `game.State` for that profile."""
+    rng = random.Random(7)
+    for trial in range(60):
+        g = disjoint_union(random_graph(rng, rng.randint(0, 25),
+                                        rng.random() * 0.4),
+                           isolated=trial % 4)
+        k = rng.randint(1, 3)
+        cfg = GameConfig(SGG_AC, k, xi=rng.randint(1, 6))
+        seeds = [rng.getrandbits(64) for _ in range(3)]
+        starts = draw_starts(g, cfg, seeds, random.Random())
+        for seed, (s, flw, owners_in, order) in zip(seeds, starts):
+            expected = random.Random(seed)
+            want = []
+            for i, ball in enumerate(g.closed_neighborhoods(k)):
+                options = [j for j in ball if j != i]
+                want.append(expected.choice(options) if options else i)
+            want_order = list(range(g.n))
+            expected.shuffle(want_order)
+            assert (s, order) == (want, want_order), (trial, seed)
+            counted = game.State(g, cfg, want)
+            assert (flw, owners_in) == (counted.flw, counted.owners_in)
 
 
 def test_derive_seed_distinct_streams():

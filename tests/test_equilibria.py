@@ -10,7 +10,8 @@ from _oracles import (ball_masks, brute_force_ne_owner_masks,
                       reference_dynamics)
 from sharegoods import equilibria, game
 from sharegoods import netgraph as ng
-from sharegoods.dynamics import best_response_grid, derive_seed
+from sharegoods.dynamics import (DynamicsResult, _trajectories,
+                                best_response_grid, derive_seed)
 from sharegoods.equilibria import (_admit, _dominating_owner_sets,
                                    _follower_claims, _largest_bound,
                                    empirical_cost_stats,
@@ -19,6 +20,12 @@ from sharegoods.equilibria import (_admit, _dominating_owner_sets,
                                    sggac_witness_profile)
 from sharegoods.game import SGG, SGG_AC, GameConfig
 from sharegoods.optimum import cover_masks, min_dominating_exact
+
+
+def exact_reports(g, cfgs):
+    """exact_efficiency for cfgs, handed the optimum at their k and p."""
+    return exact_efficiency(g, cfgs,
+                            min_dominating_exact(g, cfgs[0].k, p=cfgs[0].p))
 
 
 class TestEnumeration:
@@ -133,7 +140,7 @@ class TestSggacEnumeration:
                     assert {frozenset(i for i in range(g.n) if m >> i & 1)
                             for m in masks} == expected
                     sizes = [len(s) for s in expected]
-                    report = exact_efficiency(g, [cfg])[0]
+                    report = exact_reports(g, [cfg])[0]
                     assert report.worst_ne_cost == max(sizes)
                     assert report.best_ne_cost == min(sizes)
 
@@ -171,9 +178,12 @@ class TestUpperBound:
     def test_never_below_largest_extension(self):
         """At a search state (node i, the admitted owners chosen below i),
         the largest side's bound is at least the size of every admitted
-        dominating owner set that adds only nodes from i on."""
+        dominating owner set that adds only nodes from i on. Under SGG-AC
+        the capacity mask ok (the nodes whose ball holds xi + 2 or more)
+        must tighten the bound in some states."""
         rng = random.Random(53)
         tight = 0
+        capped = 0
         for trial in range(24):
             n1 = rng.randint(1, 7)
             g = disjoint_union(random_graph(rng, n1, rng.random() * 0.7),
@@ -186,6 +196,9 @@ class TestUpperBound:
                 for cfg in [GameConfig(SGG, k)] + [
                         GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 3, 4)]:
                     ne_masks = brute_force_ne_owner_masks(g, cfg)
+                    ok = 0 if cfg.variant == SGG else sum(
+                        1 << v for v in range(n)
+                        if bin(cov[v]).count("1") >= cfg.xi + 2)
                     for _ in range(10):
                         i = rng.randint(0, n)
                         # Half the states lie on an equilibrium's path.
@@ -204,18 +217,21 @@ class TestUpperBound:
                                   if cov[o] & chosen == 1 << o)
                         undominated = sum(1 << v for v in range(n)
                                           if not cov[v] & chosen)
-                        bound = _largest_bound(cov, i, len(owners), unc,
-                                               undominated, cfg.xi)
+                        state = (cov, i, chosen, len(owners), unc,
+                                 undominated, cfg.xi)
+                        bound = _largest_bound(*state, ok)
                         largest = largest_ne_extension(ne_masks, i, chosen)
                         assert bound >= largest, (g.n, g.edges, cfg, i,
                                                   chosen)
                         tight += bound == largest
+                        capped += bound < _largest_bound(*state, (1 << n) - 1)
         assert tight > 1000
+        assert capped > 50
 
 
 class TestExactEfficiency:
     def test_star10_sgg(self):
-        report = exact_efficiency(ng.star(10), [GameConfig(SGG, 1)])[0]
+        report = exact_reports(ng.star(10), [GameConfig(SGG, 1)])[0]
         assert report.opt_cost == 1
         assert report.best_ne_cost == 1
         assert report.worst_ne_cost == 9
@@ -224,18 +240,18 @@ class TestExactEfficiency:
     def test_star1200_sgg(self):
         # Both searches decide 1200 nodes in a row, deeper than a search
         # that recursed once per node could go.
-        report = exact_efficiency(ng.star(1200), [GameConfig(SGG, 1)])[0]
+        report = exact_reports(ng.star(1200), [GameConfig(SGG, 1)])[0]
         assert (report.worst_ne_cost, report.best_ne_cost) == (1199, 1)
 
     def test_figure1_sgg(self, figure1_graph):
-        report = exact_efficiency(figure1_graph, [GameConfig(SGG, 1)])[0]
+        report = exact_reports(figure1_graph, [GameConfig(SGG, 1)])[0]
         assert report.opt_cost == 1
         assert report.pos == 1 and report.poa == 4
 
     def test_complete6_sggac(self):
         # complete graph on m(xi+1) nodes with m=2, xi=2
-        report = exact_efficiency(ng.complete(6),
-                                  [GameConfig(SGG_AC, 1, xi=2)])[0]
+        report = exact_reports(ng.complete(6),
+                               [GameConfig(SGG_AC, 1, xi=2)])[0]
         assert report.opt_cost == 1
         assert report.worst_ne_cost == 2
         assert report.poa == 2
@@ -245,7 +261,7 @@ class TestExactEfficiency:
         for _ in range(10):
             g = random_graph(rng, rng.randint(1, 8), rng.random())
             for cfg in (GameConfig(SGG, 1), GameConfig(SGG_AC, 1, xi=2)):
-                report = exact_efficiency(g, [cfg])[0]
+                report = exact_reports(g, [cfg])[0]
                 assert 1 <= report.pos <= report.poa
                 assert report.opt_cost <= report.best_ne_cost
 
@@ -254,7 +270,7 @@ class TestExactEfficiency:
         optimal owner counts."""
         expected = {1: (20, 4, 4), 2: (4, 2, 2), 3: (2, 1, 1), 4: (2, 1, 1)}
         for k, costs in expected.items():
-            report = exact_efficiency(ng.karate(), [GameConfig(SGG, k)])[0]
+            report = exact_reports(ng.karate(), [GameConfig(SGG, k)])[0]
             assert (report.worst_ne_cost, report.best_ne_cost,
                     report.opt_cost) == costs, k
 
@@ -263,13 +279,23 @@ class TestExactEfficiency:
         k = 2..4: optimal cost, PoA and PoS."""
         expected = {2: (2, 3.5, 1), 3: (1, 5, 1), 4: (1, 5, 1)}
         for k, values in expected.items():
-            report = exact_efficiency(ng.karate(),
-                                      [GameConfig(SGG_AC, k, xi=6)])[0]
+            report = exact_reports(ng.karate(),
+                                   [GameConfig(SGG_AC, k, xi=6)])[0]
             assert (report.opt_cost, report.poa, report.pos) == values, k
 
     def test_chain30_sgg(self):
-        report = exact_efficiency(ng.chain(30), [GameConfig(SGG, 1)])[0]
+        report = exact_reports(ng.chain(30), [GameConfig(SGG, 1)])[0]
         assert (report.worst_ne_cost, report.best_ne_cost) == (15, 10)
+
+    def test_chain100_sggac(self):
+        """At k = 1 a contested chain owner has one free neighbour at
+        most, so at xi >= 2 only SGG's equilibria remain: worst 50, best
+        34. The capacity mask of the largest side's bound sees that no
+        node can be contested."""
+        cfgs = [GameConfig(SGG_AC, 1, xi=xi) for xi in (2, 5, 10, 20)]
+        for report in exact_reports(ng.chain(100), cfgs):
+            assert (report.worst_ne_cost, report.best_ne_cost,
+                    report.opt_cost) == (50, 34, 34)
 
     def test_matches_listing(self):
         """The two bounded searches give the largest and the smallest
@@ -285,13 +311,13 @@ class TestExactEfficiency:
             for k in (1, 2, 3):
                 cfgs = [GameConfig(SGG, k)] + [
                     GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 3, 4)]
-                for cfg, report in zip(cfgs, exact_efficiency(g, cfgs)):
+                for cfg, report in zip(cfgs, exact_reports(g, cfgs)):
                     assert (report.worst_ne_cost, report.best_ne_cost) == \
                         listed_ne_sizes(g, cfg), (g.n, g.edges, cfg)
 
     def test_grid_equals_single_configs(self, monkeypatch):
-        """A grid computes the optimum once and returns the reports of one
-        call per config."""
+        """A grid returns the reports of one call per config, from the
+        optimum it is handed: it computes none of its own."""
         calls = []
 
         def counted(g, k, p=1.0):
@@ -307,9 +333,10 @@ class TestExactEfficiency:
             p = rng.choice((1.0, 1.5))
             cfgs = [GameConfig(SGG, k, p=p)] + [
                 GameConfig(SGG_AC, k, p=p, xi=xi) for xi in (1, 2, 4)]
-            singles = [exact_efficiency(g, [cfg])[0] for cfg in cfgs]
             del calls[:]
-            assert exact_efficiency(g, cfgs) == singles
+            opt = equilibria.min_dominating_exact(g, k, p=p)
+            singles = [exact_efficiency(g, [cfg], opt)[0] for cfg in cfgs]
+            assert exact_efficiency(g, cfgs, opt) == singles
             assert len(calls) == 1
 
     def test_grid_shares_k_and_p(self):
@@ -317,7 +344,7 @@ class TestExactEfficiency:
                      [GameConfig(SGG_AC, 1, xi=2),
                       GameConfig(SGG_AC, 1, p=1.5, xi=2)]):
             with pytest.raises(ValueError):
-                exact_efficiency(ng.star(5), cfgs)
+                exact_reports(ng.star(5), cfgs)
 
 
 class TestBoundFamilies:
@@ -386,11 +413,11 @@ class TestEmpiricalStats:
                 empirical_cost_stats(ng.star(5), cfgs, 2, 0)
 
     def test_grid_equals_single_configs(self):
-        """One best_response_grid run serves all configs of a list: every
-        (run, config) result must equal the reference dynamics run alone
-        on that seed, configs that share an xi must share one result, xi
-        groups must split on stars and chains, and each config's stats
-        must equal a call with it alone."""
+        """One best_response_grid call runs a whole row: every (run,
+        config) trajectory must equal the reference dynamics run alone on
+        that seed (profile, passes and case counts), configs that share an
+        xi must share one result, xi groups must split on stars and
+        chains, and each config's stats must equal a call with it alone."""
         rng = random.Random(23)
         seen = set()
         split_on = set()
@@ -407,28 +434,44 @@ class TestEmpiricalStats:
             kind = trial % 3
             if kind == 0:
                 cfgs = [GameConfig(SGG, k), GameConfig(SGG, k, b=3, p=2)]
+            elif kind == 1:
+                cfgs = [GameConfig(SGG_AC, k, xi=rng.randint(1, 6))]
             else:
                 cfgs = [GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 5, 10, 20)]
-                if kind == 2:              # xi = 2 again, from a
-                    cfgs.append(GameConfig(SGG_AC, k, a=0.45))
+                cfgs.append(GameConfig(SGG_AC, k, a=0.45))    # xi = 2 again
             runs = rng.randint(1, 6)
             seed = rng.getrandbits(32)
-            for r in range(runs):
-                run_seed = derive_seed(seed, r)
-                results = best_response_grid(g, cfgs, run_seed)
-                assert len(results) == len(cfgs)
-                for cfg, result in zip(cfgs, results):
-                    assert result == reference_dynamics(g, cfg, run_seed), \
-                        (trial, cfg)
-                    for other, shared in zip(cfgs, results):
-                        if other.xi == cfg.xi:
-                            assert shared is result
-                if len({id(result) for result in results}) > 1:
+            seeds = [derive_seed(seed, r) for r in range(runs)]
+            refs = [[reference_dynamics(g, cfg, s) for cfg in cfgs]
+                    for s in seeds]
+            # The groups of one run cover its xi grid once, run after run.
+            grid = {cfg.xi for cfg in cfgs}
+            r, covered = 0, set()
+            for state, xis, case_counts in _trajectories(g, cfgs, seeds):
+                got = DynamicsResult(state.s, len(case_counts),
+                                     sum(map(sum, case_counts)), case_counts)
+                for cfg, ref in zip(cfgs, refs[r]):
+                    if cfg.xi in xis:
+                        assert got == ref, (trial, r, cfg)
+                assert covered.isdisjoint(xis)
+                covered.update(xis)
+                if len(xis) < len(grid):
                     split_on.add(family)
-            grid = empirical_cost_stats(g, cfgs, runs, seed)
+                if covered == grid:
+                    r, covered = r + 1, set()
+            assert (r, covered) == (runs, set())
+            results = best_response_grid(g, cfgs, seeds)
+            assert len(results) == len(cfgs)
+            for c, (cfg, (owned, passes)) in enumerate(zip(cfgs, results)):
+                assert owned == [len(game.owners(cfg, ref[c].profile))
+                                 for ref in refs], (trial, cfg)
+                assert passes == [ref[c].passes for ref in refs]
+                for other, shared in zip(cfgs, results):
+                    assert (shared is results[c]) == (other.xi == cfg.xi)
+            grid_stats = empirical_cost_stats(g, cfgs, runs, seed)
             singles = [empirical_cost_stats(g, [cfg], runs, seed)[0]
                        for cfg in cfgs]
-            assert grid == singles, (trial, cfgs)
+            assert grid_stats == singles, (trial, cfgs)
             seen.add((kind, k))
         assert len(seen) == 9
         assert {1, 2} <= split_on          # stars and chains split

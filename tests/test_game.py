@@ -5,12 +5,12 @@ import pytest
 import _oracles
 from _oracles import (best_response_set, brute_force_sgg_ne_owner_sets,
                       disjoint_union, is_k_independent_dominating,
-                      random_graph, utility)
+                      parse_profile, random_graph, utility)
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import best_response_dynamics
 from sharegoods.game import (SGG, SGG_AC, GameConfig, State, is_in_T, owners,
-                             parse_profile, serialize_profile, social_cost)
+                             serialize_profile, social_cost)
 
 
 class TestGameConfig:
