@@ -213,6 +213,13 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _int(key: str, value: str | None) -> int | None:
+    """The value of key as an integer: ASCII digits after an optional '-'."""
+    if value is None or value.removeprefix("-").isdigit() and value.isascii():
+        return None if value is None else int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
     if "edge_list" in values:
         path = values["edge_list"]
@@ -222,11 +229,11 @@ def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
         raise ConfigError("the graph needs either a family or an edge list")
     spec = FamilySpec(
         family=values["family"],
-        n=int(values["n"]) if "n" in values else None,
-        k=int(values["arm_len"]) if "arm_len" in values else None,
-        m=int(values["m"]) if "m" in values else None,
+        n=_int("n", values.get("n")),
+        k=_int("arm_len", values.get("arm_len")),
+        m=_int("m", values.get("m")),
         prob=float(values["prob"]) if "prob" in values else None,
-        seed=int(values["graph_seed"]) if "graph_seed" in values else None,
+        seed=_int("graph_seed", values.get("graph_seed")),
     )
     g = netgraph.generate(spec)   # rejects specs the label cannot print
     return _dataset_label(spec), g
@@ -244,9 +251,8 @@ def config_from_values(values: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     dataset, g = _build_graph_from_keys(values)
     variant = values.get("variant", SGG)
-    xi_values = None
-    if "xi" in values and values["xi"]:
-        xi_values = tuple(int(x) for x in values["xi"].split(","))
+    xi_values = tuple(_int("xi", x.strip()) for x in
+                      values["xi"].split(",")) if values.get("xi") else None
     analyses = tuple(a.strip() for a in
                      values.get("analyses", "optimum,dynamics").split(",")
                      if a.strip())
@@ -254,13 +260,13 @@ def config_from_values(values: dict) -> ExperimentConfig:
         dataset=dataset,
         graph=g,
         variant=variant,
-        k=int(values.get("k", "1")),
+        k=_int("k", values.get("k", "1")),
         b=float(values.get("b", "2")),
         p=float(values.get("p", "1")),
         a=float(values["a"]) if values.get("a") else None,
         xi_values=xi_values,
-        runs=int(values.get("runs", "1000")),
-        master_seed=int(values.get("seed", "0")),
+        runs=_int("runs", values.get("runs", "1000")),
+        master_seed=_int("seed", values.get("seed", "0")),
         analyses=analyses,
         out=values.get("out"),
     )
@@ -294,8 +300,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run experiments from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--runs", type=int)
+    p_run.add_argument("--seed")
+    p_run.add_argument("--runs")
     p_run.add_argument("--xi")
     p_run.add_argument("--a", type=float)
     p_run.add_argument("--variant", choices=(SGG, SGG_AC))
@@ -348,8 +354,7 @@ def main(argv=None) -> int:
                 Path(args.out).write_text(export_ilp(g, args.k, args.p))
                 print(f"wrote LP for {label} (k={args.k}) to {args.out}")
     # RuntimeError covers a solver that gave up (dynamics, a stabilize
-    # repair, an equilibrium search out of nodes) and RecursionError, which
-    # the augmenting paths of _follower_claims can still raise.
+    # repair, an equilibrium search out of nodes).
     except (ConfigError, netgraph.ParseError, ValueError, OSError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -205,23 +205,24 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
     """Repair an optimal owner set into an SGG-AC equilibrium.
 
     Builds the initial profile by multi-source BFS from the owners (each
-    owner's follower region is connected), then repeatedly lets a poor owner
-    that can reach another owner defect to renting, re-homing its followers
-    and promoting the stranded ones to new owners.
+    owner's follower region is connected) and one `game.State` over it.
+    Every non-owner rents from an owner in its ball and has no followers,
+    so the check-only `State.sweep` names a poor owner (another owner in
+    range, fewer than xi followers), the lowest-id one. It rents from the
+    first owner of its ball, its followers from the first owners of theirs,
+    and each one left stranded, in id order, buys and takes the stranded
+    nodes of its ball.
     """
     if cfg.variant != SGG_AC:
         raise game.VariantError("stabilize applies only to SGG-AC")
     if not game.is_distance_k_dominating(g, cfg.k, opt_owners):
         raise ValueError("opt_owners is not distance-k dominating")
-    n = g.n
-    nbhd = g.closed_neighborhoods(cfg.k)
-    current = set(opt_owners)
 
     # Region assignment: each node follows its nearest owner, regions
     # connected because every node inherits its BFS parent's owner.
-    s = [-1] * n
+    s = [-1] * g.n
     dq = deque()
-    for o in sorted(current):
+    for o in sorted(opt_owners):
         s[o] = o
         dq.append(o)
     while dq:
@@ -231,42 +232,34 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
                 s[w] = s[v]
                 dq.append(w)
 
-    xi = cfg.xi
-    max_iters = len(current) + 1
-    for _ in range(max_iters):
-        flw = [0] * n
-        for i, x in enumerate(s):
-            if x != i:
-                flw[x] += 1
-        poor = None
-        for i in sorted(current):
-            if flw[i] < xi and any(o != i and o in current for o in nbhd[i]):
-                poor = i
-                break
-        if poor is None:
+    state = game.State(g, cfg, s)
+    nbhd, flw, owners_in = state.nbhd, state.flw, state.owners_in
+    for _ in range(len(set(opt_owners)) + 1):
+        poor = state.sweep(range(g.n))
+        if poor < 0:
             break
-        target = min(o for o in nbhd[poor] if o != poor and o in current)
-        prev_followers = sorted(f for f in range(n) if s[f] == poor and f != poor)
-        current.discard(poor)
+        # poor rents; its ball loses an owner and holds all its followers.
+        ball = nbhd[poor]
+        target = next(o for o in ball if o != poor and s[o] == o)
         s[poor] = target
-        stranded = []
-        for f in prev_followers:
-            alternatives = [o for o in nbhd[f] if o != f and o in current]
-            if alternatives:
-                s[f] = min(alternatives)
-            else:
-                stranded.append(f)
-        pending = set(stranded)
-        for leader in stranded:
-            if leader not in pending:
-                continue
-            pending.discard(leader)
-            current.add(leader)
-            s[leader] = leader
-            for f in sorted(pending):
-                if leader in nbhd[f]:
-                    s[f] = leader
-                    pending.discard(f)
+        flw[target] += 1
+        flw[poor] = 0
+        for f in ball:
+            owners_in[f] -= 1
+            if s[f] == poor:
+                for o in nbhd[f]:
+                    if s[o] == o:
+                        s[f] = o
+                        flw[o] += 1
+                        break
+        for leader in ball:
+            if s[leader] == poor:          # still stranded: it buys
+                s[leader] = leader
+                for j in nbhd[leader]:
+                    owners_in[j] += 1
+                    if s[j] == poor:
+                        s[j] = leader
+                        flw[leader] += 1
     else:
         raise RuntimeError("stabilize repair loop failed to terminate")
 

@@ -161,27 +161,28 @@ def _follower_claims(cov: list[int], owners: int,
     an added owner removes a follower and adds demand, so a failing set
     has no passing superset."""
     holder: dict[int, int] = {}
-    seen = 0
-
-    def claim(o: int) -> bool:
-        nonlocal seen
-        free = cov[o] & ~owners & ~seen
-        while free:
-            low = free & -free
-            seen |= low
-            v = low.bit_length() - 1
-            if v not in holder or claim(holder[v]):
-                holder[v] = o
-                return True
-            free &= ~seen
-        return False
-
     for o in _members(owners):
         if cov[o] & owners != 1 << o:
             for _ in range(xi):
-                seen = 0
-                if not claim(o):
-                    return None
+                # Depth first over (claimant, follower) pairs: a taken
+                # follower's holder claims next; a stuck claimant backs out.
+                seen, path, c = owners, [], o
+                while True:
+                    free = cov[c] & ~seen
+                    if free:
+                        low = free & -free
+                        seen |= low
+                        v = low.bit_length() - 1
+                        path.append((c, v))
+                        c = holder.get(v)
+                        if c is None:        # v was free: augment
+                            for c, v in path:
+                                holder[v] = c
+                            break
+                    elif path:
+                        c = path.pop()[0]
+                    else:
+                        return None
     return holder
 
 

@@ -7,9 +7,9 @@ for free. In the access-cost variant (SGG-AC) a node's strategy is a target
 in its closed k-hop neighborhood: s_i = i means buy, s_i = j != i means pay
 the access cost a to owner j.
 
-`State` is the one view of a profile that the dynamics and `is_nash` share:
-follower counts, owners per closed k-ball, and `State.sweep`, the one
-best-response rule, stated in those counts, with its moves and case counts.
+`State` is the one view of a profile that the dynamics, `is_nash` and
+`stabilize` share: follower counts, owners per closed k-ball, and
+`State.sweep`, the one best-response rule, with its moves and case counts.
 """
 
 from __future__ import annotations

@@ -11,14 +11,18 @@ analysis used before its two bounded searches; `reference_load_edge_list`
 is the edge-list loader with the per-edge set its graph once kept, so
 that the adjacency the library builds straight from the id columns is
 checked against an independent construction; `parse_profile` reads back
-what `game.serialize_profile` writes, which the program never does."""
+what `game.serialize_profile` writes, which the program never does;
+`reference_stabilize` is the optimum repair as written before it ran on
+`game.State`, with its own owner set, pending set and follower recount."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import re
+from collections import deque
 
+from sharegoods import game
 from sharegoods.dynamics import DynamicsResult
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
 from sharegoods.netgraph import Graph, ParseError, connected_components
@@ -608,3 +612,78 @@ def parse_profile(text: str) -> Profile:
     if sorted(entries) != list(range(len(entries))):
         raise ValueError("profile must cover node ids 0..n-1 exactly once")
     return [entries[i] for i in range(len(entries))]
+
+
+def reference_stabilize(g: Graph, cfg: GameConfig,
+                        opt_owners: set[int]) -> Profile:
+    """Repair an optimal owner set into an SGG-AC equilibrium.
+
+    Builds the initial profile by multi-source BFS from the owners (each
+    owner's follower region is connected), then repeatedly lets a poor owner
+    that can reach another owner defect to renting, re-homing its followers
+    and promoting the stranded ones to new owners.
+    """
+    if cfg.variant != SGG_AC:
+        raise game.VariantError("stabilize applies only to SGG-AC")
+    if not game.is_distance_k_dominating(g, cfg.k, opt_owners):
+        raise ValueError("opt_owners is not distance-k dominating")
+    n = g.n
+    nbhd = g.closed_neighborhoods(cfg.k)
+    current = set(opt_owners)
+
+    # Region assignment: each node follows its nearest owner, regions
+    # connected because every node inherits its BFS parent's owner.
+    s = [-1] * n
+    dq = deque()
+    for o in sorted(current):
+        s[o] = o
+        dq.append(o)
+    while dq:
+        v = dq.popleft()
+        for w in g.neighbors(v):
+            if s[w] == -1:
+                s[w] = s[v]
+                dq.append(w)
+
+    xi = cfg.xi
+    max_iters = len(current) + 1
+    for _ in range(max_iters):
+        flw = [0] * n
+        for i, x in enumerate(s):
+            if x != i:
+                flw[x] += 1
+        poor = None
+        for i in sorted(current):
+            if flw[i] < xi and any(o != i and o in current for o in nbhd[i]):
+                poor = i
+                break
+        if poor is None:
+            break
+        target = min(o for o in nbhd[poor] if o != poor and o in current)
+        prev_followers = sorted(f for f in range(n) if s[f] == poor and f != poor)
+        current.discard(poor)
+        s[poor] = target
+        stranded = []
+        for f in prev_followers:
+            alternatives = [o for o in nbhd[f] if o != f and o in current]
+            if alternatives:
+                s[f] = min(alternatives)
+            else:
+                stranded.append(f)
+        pending = set(stranded)
+        for leader in stranded:
+            if leader not in pending:
+                continue
+            pending.discard(leader)
+            current.add(leader)
+            s[leader] = leader
+            for f in sorted(pending):
+                if leader in nbhd[f]:
+                    s[f] = leader
+                    pending.discard(f)
+    else:
+        raise RuntimeError("stabilize repair loop failed to terminate")
+
+    if not game.is_nash(g, cfg, s):
+        raise RuntimeError("stabilize produced a non-equilibrium profile")
+    return s

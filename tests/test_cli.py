@@ -185,6 +185,28 @@ class TestConfigFile:
         assert main(["run", str(cfg_path)]) == 2
         assert capsys.readouterr().err == \
             "error: unknown config keys: ['anlyses', 'run']\n"
+        # Integers are ASCII decimal digits with an optional leading '-',
+        # in the file and in the run overrides alike.
+        base = "family = chain\nn = 6\nruns = 2\nvariant = SGG-AC\nxi = 1\n"
+        for line, flags, err in [
+                ("xi = 1_0\n", [], "xi must be an integer, got '1_0'"),
+                ("xi = 1, ٣\n", [], "xi must be an integer, got '٣'"),
+                ("k = ٣\n", [], "k must be an integer, got '٣'"),
+                ("runs = +2\n", [], "runs must be an integer, got '+2'"),
+                ("seed = 0x1\n", [], "seed must be an integer, got '0x1'"),
+                ("n = 6.0\n", [], "n must be an integer, got '6.0'"),
+                ("family = center_arms_tree\narm_len = 2\nm = ²\n", [],
+                 "m must be an integer, got '²'"),
+                ("family = er_random\nprob = 0.5\ngraph_seed = --1\n", [],
+                 "graph_seed must be an integer, got '--1'"),
+                ("family = two_center_tree\nm = 2\narm_len = 1_0\n", [],
+                 "arm_len must be an integer, got '1_0'"),
+                ("", ["--seed", "1_0"], "seed must be an integer, got '1_0'"),
+                ("", ["--runs", "٣"], "runs must be an integer, got '٣'"),
+                ("", ["--xi", "2,1_0"], "xi must be an integer, got '1_0'")]:
+            cfg_path.write_text(base + line)
+            assert main(["run", str(cfg_path), *flags]) == 2
+            assert capsys.readouterr().err == f"error: {err}\n"
 
 
 class TestErrors:

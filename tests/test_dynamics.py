@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from _oracles import disjoint_union, is_nash, random_graph, reference_dynamics
+from _oracles import (disjoint_union, is_nash, random_graph, reference_dynamics,
+                      reference_stabilize)
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (best_response_dynamics, derive_seed,
@@ -169,6 +170,41 @@ class TestStabilize:
             assert is_nash(g, cfg, s), (g.n, g.edges, cfg)
             bound = cfg.p * len(opt.owners) * max(1, cfg.xi // (k // 2 + 1))
             assert game.social_cost(g, cfg, s) <= bound, (g.n, g.edges, cfg)
+
+    def test_matches_reference(self):
+        """The same profile, or the same error, as the repair written with
+        its own owner and pending sets, from the optimum, the greedy set,
+        every node and random supersets of the greedy set; and the same
+        error from the greedy set less one owner when that no longer
+        dominates."""
+        from sharegoods.optimum import min_dominating_exact, \
+            min_dominating_greedy
+
+        def outcome(repair, g, cfg, owners):
+            try:
+                return repair(g, cfg, set(owners))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(18)
+        for _ in range(250):
+            if rng.random() < 0.5:
+                g = random_graph(rng, rng.randint(1, 30), rng.random() * 0.3)
+            else:
+                g = disjoint_union(
+                    random_graph(rng, rng.randint(1, 12), rng.random() * 0.5),
+                    random_graph(rng, rng.randint(0, 12), rng.random() * 0.5),
+                    isolated=rng.randint(0, 3))
+            k = rng.randint(1, 3)
+            cfg = GameConfig(SGG_AC, k, xi=rng.randint(1, 9))
+            greedy = min_dominating_greedy(g, k)
+            for owners in (min_dominating_exact(g, k).owners, greedy,
+                           range(g.n), greedy | set(rng.sample(
+                               range(g.n), rng.randint(0, g.n))),
+                           sorted(greedy)[1:]):
+                assert outcome(stabilize, g, cfg, owners) == \
+                    outcome(reference_stabilize, g, cfg, owners), \
+                    (g.n, g.edges, cfg, sorted(owners))
 
 
 def test_choice_is_randbelow_index():

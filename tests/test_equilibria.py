@@ -74,6 +74,19 @@ class TestSggacFeasibility:
     def test_non_dominating_rejected(self):
         assert not sggac_owner_set_feasible(ng.chain(10), 1, 1, {0})
 
+    def test_2000_link_augmenting_path(self):
+        """A 4,001-node chain f(0) o(1) f(1) ... o(m) f(m) at k=2, xi=1,
+        with owner o(j) = j - 1. Each o(j) first takes f(j), the lower id,
+        so the last owner's claim re-routes all m - 1 owners before it:
+        an augmenting path 2,000 claims deep."""
+        m = 2000
+        f = [m + (m - 1 - j) for j in range(m)] + [2 * m]
+        seq = [f[0]]
+        for j in range(1, m + 1):
+            seq += [j - 1, f[j]]
+        g = ng.Graph(2 * m + 1, list(zip(seq, seq[1:])))
+        assert sggac_owner_set_feasible(g, 2, 1, set(range(m)))
+
     def test_witness_is_nash(self):
         rng = random.Random(23)
         checked = 0

@@ -41,6 +41,15 @@ analyses = optimum,stabilize
 STABILIZE_PROFILE_DIGEST = \
     "25e9a3871399342dd66e229af685587f1fd4f39e866ec6fc07d9722feba2cf1c"
 
+# The same repair at the other xi of the paper's grid: xi=2 and xi=10
+# repair to xi=5's profile, xi=1 and xi=20 to profiles of their own.
+STABILIZE_GRID_DIGESTS = {
+    1: "32d88616b45bf47328db2aea0dbc82631f3413764eeeca6632987af0479cc0c2",
+    2: STABILIZE_PROFILE_DIGEST,
+    10: STABILIZE_PROFILE_DIGEST,
+    20: "f6a9b936b02725bc19436d40c654308c8298b1e27e2d674b78be20c000a8f4f0",
+}
+
 EXACT_CONFIG = """\
 family     = er_random
 n          = 12
@@ -97,12 +106,23 @@ def test_full_size_table3_synthetic(tmp_path):
     assert sha256(out.read_bytes()) == FULL_SIZE_DIGEST
 
 
-def test_stabilize_profile(tmp_path):
+def stabilized_profile(tmp_path, xi: int) -> bytes:
     cfg = tmp_path / "stab.cfg"
-    cfg.write_text(STABILIZE_CONFIG + f"out = {tmp_path / 'stab.csv'}\n")
+    cfg.write_text(STABILIZE_CONFIG +      # a later key wins
+                   f"xi = {xi}\nout = {tmp_path / 'stab.csv'}\n")
     assert main(["run", str(cfg)]) == 0
-    profile = tmp_path / "stab_karate_sggac_xi5_k1.stabilized.profile"
-    assert sha256(profile.read_bytes()) == STABILIZE_PROFILE_DIGEST
+    name = f"stab_karate_sggac_xi{xi}_k1.stabilized.profile"
+    return (tmp_path / name).read_bytes()
+
+
+def test_stabilize_profile(tmp_path):
+    assert sha256(stabilized_profile(tmp_path, 5)) == STABILIZE_PROFILE_DIGEST
+
+
+@pytest.mark.parametrize("xi", sorted(STABILIZE_GRID_DIGESTS))
+def test_stabilize_profile_xi_grid(tmp_path, xi):
+    assert sha256(stabilized_profile(tmp_path, xi)) == \
+        STABILIZE_GRID_DIGESTS[xi]
 
 
 def test_exact_efficiency_csv(tmp_path, capsys):
