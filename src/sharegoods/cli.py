@@ -135,8 +135,9 @@ def compute_row(config: ExperimentConfig) -> list[dict]:
             row["poa_exact"] = report.poa
             row["pos_exact"] = report.pos
         if "stabilize" in analyses:
+            # stabilize returns a certified equilibrium, so a profile in T.
             profile = stabilize(g, cfg, opt.owners)
-            cost = game.social_cost(g, cfg, profile)
+            cost = cfg.p * len(game.owners(cfg, profile))
             path = _side_path(config, cfg.xi, ".stabilized.profile")
             path.write_text(game.serialize_profile(profile))
             print(f"stabilize {config.dataset} xi={cfg.xi}: "
@@ -220,6 +221,17 @@ def _int(key: str, value: str | None) -> int | None:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _float(key: str, value: str | None) -> float | None:
+    """The value of key as a number: what float() reads, in ASCII and
+    without '_'."""
+    try:
+        if value is None or value.isascii() and "_" not in value:
+            return None if value is None else float(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
     if "edge_list" in values:
         path = values["edge_list"]
@@ -232,7 +244,7 @@ def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
         n=_int("n", values.get("n")),
         k=_int("arm_len", values.get("arm_len")),
         m=_int("m", values.get("m")),
-        prob=float(values["prob"]) if "prob" in values else None,
+        prob=_float("prob", values.get("prob")),
         seed=_int("graph_seed", values.get("graph_seed")),
     )
     g = netgraph.generate(spec)   # rejects specs the label cannot print
@@ -261,9 +273,9 @@ def config_from_values(values: dict) -> ExperimentConfig:
         graph=g,
         variant=variant,
         k=_int("k", values.get("k", "1")),
-        b=float(values.get("b", "2")),
-        p=float(values.get("p", "1")),
-        a=float(values["a"]) if values.get("a") else None,
+        b=_float("b", values.get("b", "2")),
+        p=_float("p", values.get("p", "1")),
+        a=_float("a", values.get("a") or None),
         xi_values=xi_values,
         runs=_int("runs", values.get("runs", "1000")),
         master_seed=_int("seed", values.get("seed", "0")),
@@ -272,23 +284,17 @@ def config_from_values(values: dict) -> ExperimentConfig:
     )
 
 
-def _family_graph_from_args(args) -> tuple[str, Graph]:
-    values = {key: str(getattr(args, key)) for key in GRAPH_KEYS
-              if getattr(args, key) is not None}
-    return _build_graph_from_keys(values)
-
-
 def _add_family_flags(parser) -> None:
     parser.add_argument("--graph", dest="edge_list", help="edge-list file")
     parser.add_argument("--family", help="built-in graph family")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--arm-len", dest="arm_len", type=int,
+    parser.add_argument("--n")
+    parser.add_argument("--m")
+    parser.add_argument("--arm-len", dest="arm_len",
                         help="arm length for the tree families")
-    parser.add_argument("--prob", type=float)
-    parser.add_argument("--graph-seed", dest="graph_seed", type=int)
-    parser.add_argument("--k", type=int, default=1)
-    parser.add_argument("--p", type=float, default=1.0)
+    parser.add_argument("--prob")
+    parser.add_argument("--graph-seed", dest="graph_seed")
+    parser.add_argument("--k", default="1")
+    parser.add_argument("--p", default="1")
 
 
 def main(argv=None) -> int:
@@ -303,15 +309,15 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed")
     p_run.add_argument("--runs")
     p_run.add_argument("--xi")
-    p_run.add_argument("--a", type=float)
+    p_run.add_argument("--a")
     p_run.add_argument("--variant", choices=(SGG, SGG_AC))
     p_run.add_argument("--out")
 
     p_preset = sub.add_parser("preset", help="run a built-in table preset")
     p_preset.add_argument("name")
     p_preset.add_argument("--out", required=True)
-    p_preset.add_argument("--runs", type=int, default=1000)
-    p_preset.add_argument("--seed", type=int, default=0)
+    p_preset.add_argument("--runs", default="1000")
+    p_preset.add_argument("--seed", default="0")
 
     p_opt = sub.add_parser("optimum", help="exact minimum dominating set")
     _add_family_flags(p_opt)
@@ -327,7 +333,7 @@ def main(argv=None) -> int:
             for key in ("seed", "runs", "xi", "a", "variant", "out"):
                 override = getattr(args, key)
                 if override is not None:
-                    values[key] = str(override)
+                    values[key] = override
             config = config_from_values(values)
             rows = compute_row(config)
             if config.out:
@@ -336,27 +342,30 @@ def main(argv=None) -> int:
             else:
                 _write_rows(rows, sys.stdout)
         elif args.command == "preset":
-            configs = presets(args.name, args.runs, args.seed)
+            configs = presets(args.name, _int("runs", args.runs),
+                              _int("seed", args.seed))
             rows = []
             for config in configs:
                 rows.extend(compute_row(config))
             write_csv(rows, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
         else:                    # optimum, export-lp
-            game.check_k_p(args.k, args.p)
-            label, g = _family_graph_from_args(args)
+            k, p = _int("k", args.k), _float("p", args.p)
+            game.check_k_p(k, p)
+            label, g = _build_graph_from_keys(
+                {key: value for key, value in vars(args).items()
+                 if key in GRAPH_KEYS and value is not None})
             if args.command == "optimum":
-                result = min_dominating_exact(g, args.k, p=args.p)
+                result = min_dominating_exact(g, k, p=p)
                 status = "optimal" if result.proven_optimal else "incumbent"
-                print(f"{label}: k={args.k} cost={_fmt(result.cost)} "
+                print(f"{label}: k={k} cost={_fmt(result.cost)} "
                       f"({status}) owners={sorted(result.owners)}")
             else:
-                Path(args.out).write_text(export_ilp(g, args.k, args.p))
-                print(f"wrote LP for {label} (k={args.k}) to {args.out}")
-    # RuntimeError covers a solver that gave up (dynamics, a stabilize
-    # repair, an equilibrium search out of nodes).
-    except (ConfigError, netgraph.ParseError, ValueError, OSError,
-            RuntimeError) as exc:
+                Path(args.out).write_text(export_ilp(g, k, p))
+                print(f"wrote LP for {label} (k={k}) to {args.out}")
+    # ConfigError and ParseError are ValueErrors; a RuntimeError is a solver
+    # that gave up (dynamics, a stabilize repair, an equilibrium search).
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -13,10 +13,10 @@ from . import optimum
 # benchmarks/tracing.py wraps this module's bindings of them, so the
 # imports stay.
 from .dynamics import best_response_dynamics, best_response_grid, derive_seed
-from .game import SGG, GameConfig
+from .game import GameConfig
 from .netgraph import Graph
-from .optimum import (OptResult, _disjoint_cover_bound, cover_masks,
-                      min_dominating_exact)
+from .optimum import (OptResult, _disjoint_cover_bound, _members,
+                      cover_masks, min_dominating_exact)
 
 
 @dataclass
@@ -38,23 +38,21 @@ class CostStats:
     mean_passes: float
 
 
-def _dominating_owner_sets(cov: list[int], admit,
-                           objective: str | None = None,
-                           xi: int | None = None) -> list[int]:
-    """Distance-k dominating owner sets, as bitmasks, that admit lets
-    through, given the closed k-ball masks cov: all of them with no
-    objective; with "smallest" or "largest", each one that beats the one
-    before it, so the last is an extreme.
+def _dominating_owner_sets(cov: list[int], xi: int | None = None,
+                           objective: str | None = None) -> list[int]:
+    """Equilibrium owner sets, as bitmasks, given the closed k-ball masks
+    cov and xi, the followers each contested owner holds under SGG-AC, or
+    None under SGG: all of them with no objective; with "smallest" or
+    "largest", each one that beats the one before it, so the last is an
+    extreme.
 
     Nodes are decided in id order. Excluding node i is cut when some node
     whose highest-id potential dominator is i is still undominated.
-    admit(i, chosen) is asked when i joins the bitmask chosen (which then
-    holds i); a False cuts every set that extends chosen, so admit may
-    reject only when no such set can qualify. "smallest" cuts on the B&B's
-    disjoint-coverer bound, "largest" on _largest_bound, given xi, the
-    followers each contested owner holds under SGG-AC, or None under SGG,
-    whose owners are never contested; a search of more than
-    optimum.NODE_BUDGET nodes raises a RuntimeError.
+    Including i is cut when the owners chosen so far, i among them, break
+    the rule, for then every set that extends them does: under SGG, an
+    owner lies in i's ball; under SGG-AC, _follower_claims fails. "smallest"
+    cuts on the B&B's disjoint-coverer bound, "largest" on _largest_bound;
+    a search of more than optimum.NODE_BUDGET nodes raises a RuntimeError.
     """
     n = len(cov)
     # The nodes that can be contested owners: the ball of one holds it,
@@ -89,9 +87,10 @@ def _dominating_owner_sets(cov: list[int], admit,
         if not undominated & due[i]:
             stack.append((i + 1, chosen, undominated, unc, count))
         with_i = chosen | 1 << i
-        if admit(i, with_i):
-            # i contests the owners in its ball, and is uncontested itself
-            # iff no owner lies there, that is iff i is undominated.
+        # i contests the owners in its ball, and is uncontested itself iff
+        # no owner lies there, iff i is undominated: SGG's admit rule.
+        if (undominated >> i & 1 if xi is None
+                else _follower_claims(cov, with_i, xi) is not None):
             stack.append((i + 1, with_i, undominated & ~cov[i],
                           (unc & ~cov[i]) | (undominated & 1 << i),
                           count + 1))
@@ -131,25 +130,12 @@ def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
     return min(count + n - i, q)
 
 
-def _members(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-
-
 def enumerate_ne_owner_sets_sgg(g: Graph, k: int) -> list[frozenset]:
     """All k-independent dominating sets, smallest first."""
     cov = cover_masks(g, k)
-    masks = _dominating_owner_sets(cov, _admit(cov, SGG, None))
+    masks = _dominating_owner_sets(cov)
     return sorted((frozenset(_members(m)) for m in masks),
                   key=lambda s: (len(s), sorted(s)))
-
-
-def _admit(cov: list[int], variant: str, xi: int | None):
-    """The admit rule that makes dominating sets the equilibrium ones."""
-    if variant == SGG:
-        # Distances are symmetric: i is k-independent of the chosen owners
-        # iff none lies in i's own ball.
-        return lambda i, chosen: cov[i] & chosen == 1 << i
-    return lambda i, chosen: _follower_claims(cov, chosen, xi) is not None
 
 
 def _follower_claims(cov: list[int], owners: int,
@@ -225,10 +211,9 @@ def exact_efficiency(g: Graph, cfgs: list[GameConfig],
     cov = cover_masks(g, cfgs[0].k)
     reports = []
     for cfg in cfgs:
-        admit = _admit(cov, cfg.variant, cfg.xi)
-        # cfg.xi is None under SGG, whose owners have no followers.
+        # cfg.xi is None exactly under SGG, whose owners have no followers.
         worst, best = (cfg.p * _dominating_owner_sets(
-            cov, admit, side, cfg.xi)[-1].bit_count()
+            cov, cfg.xi, side)[-1].bit_count()
             for side in ("largest", "smallest"))
         reports.append(EfficiencyReport(
             opt_cost=opt.cost, worst_ne_cost=worst, best_ne_cost=best,

@@ -30,6 +30,10 @@ class OptResult:
     nodes_explored: int
 
 
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
 def cover_masks(g: Graph, k: int) -> list[int]:
     """Closed k-hop neighbourhood of each node as a bitmask over node ids."""
     masks = []
@@ -107,25 +111,27 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
 
     Each connected component is searched on its own, starting from the
     greedy set restricted to it, and the component optima are united. The
-    search loops over an explicit stack, so no recursion limit caps its
-    depth. NODE_BUDGET, read at each call, is shared by all components:
-    once the search exceeds it, the current and the remaining components
-    keep their incumbents and the result is flagged proven_optimal=False.
+    owner sets are bitmasks, like the equilibrium search's, decoded once
+    for the result. The search loops over an explicit stack, so no
+    recursion limit caps its depth. NODE_BUDGET, read at each call, is
+    shared by all components: once the search exceeds it, the current and
+    the remaining components keep their incumbents and the result is
+    flagged proven_optimal=False.
     """
     cov = cover_masks(g, k)
-    greedy = min_dominating_greedy(g, k)
+    greedy = sum(1 << v for v in min_dominating_greedy(g, k))
     explored = 0
     # Balls never cross components, so the optimum is the union of the
     # component optima; searching them apart avoids a product search tree.
-    owners: set[int] = set()
+    owners = 0
     proven = True
     for comp in connected_components(g):
         comp_mask = sum(1 << v for v in comp)
-        incumbent = {v for v in greedy if (comp_mask >> v) & 1}
-        best_size = len(incumbent)
-        # A search node: the owner count, the owners as linked (owner, rest)
-        # pairs, the uncovered nodes, and the nodes earlier siblings chose.
-        stack = [(0, None, comp_mask, 0)] if proven else []
+        incumbent = greedy & comp_mask
+        best_size = incumbent.bit_count()
+        # A search node: the owner count, the owners, the uncovered nodes,
+        # and the nodes earlier siblings chose, all but the count bitmasks.
+        stack = [(0, 0, comp_mask, 0)] if proven else []
         while stack:
             size, chosen, uncovered, forbidden = stack.pop()
             explored += 1
@@ -135,10 +141,7 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
             if uncovered == 0:
                 if size < best_size:
                     best_size = size
-                    incumbent = set()
-                    while chosen:
-                        c, chosen = chosen
-                        incumbent.add(c)
+                    incumbent = chosen
                 continue
             if size + _disjoint_cover_bound(cov, uncovered,
                                             forbidden) >= best_size:
@@ -164,12 +167,13 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
                                            c))
             children = []
             for c in candidates:
-                children.append((size + 1, (c, chosen), uncovered & ~cov[c],
-                                 forbidden))
+                children.append((size + 1, chosen | 1 << c,
+                                 uncovered & ~cov[c], forbidden))
                 forbidden |= 1 << c
             stack.extend(reversed(children))
         owners |= incumbent
-    return OptResult(owners=owners, cost=p * len(owners),
+    owner_set = set(_members(owners))
+    return OptResult(owners=owner_set, cost=p * len(owner_set),
                      proven_optimal=proven, nodes_explored=explored)
 
 

@@ -186,7 +186,8 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             "error: unknown config keys: ['anlyses', 'run']\n"
         # Integers are ASCII decimal digits with an optional leading '-',
-        # in the file and in the run overrides alike.
+        # and numbers what float() reads in ASCII without '_', in the file
+        # and in the run overrides alike.
         base = "family = chain\nn = 6\nruns = 2\nvariant = SGG-AC\nxi = 1\n"
         for line, flags, err in [
                 ("xi = 1_0\n", [], "xi must be an integer, got '1_0'"),
@@ -203,7 +204,12 @@ class TestConfigFile:
                  "arm_len must be an integer, got '1_0'"),
                 ("", ["--seed", "1_0"], "seed must be an integer, got '1_0'"),
                 ("", ["--runs", "٣"], "runs must be an integer, got '٣'"),
-                ("", ["--xi", "2,1_0"], "xi must be an integer, got '1_0'")]:
+                ("", ["--xi", "2,1_0"], "xi must be an integer, got '1_0'"),
+                ("b = 1_0\n", [], "b must be a number, got '1_0'"),
+                ("p = ٢\n", [], "p must be a number, got '٢'"),
+                ("family = er_random\nprob = ٠.٥\n", [],
+                 "prob must be a number, got '٠.٥'"),
+                ("", ["--a", "1_0"], "a must be a number, got '1_0'")]:
             cfg_path.write_text(base + line)
             assert main(["run", str(cfg_path), *flags]) == 2
             assert capsys.readouterr().err == f"error: {err}\n"
@@ -318,16 +324,18 @@ BAD_GAME_KEYS = [
     *(("variant", v) for v in ("foo", "sgg", "")),
     *((key, v) for key in ("k", "b", "p") for v in ("0", "-1", "x")),
     *(("a", v) for v in ("0", "1", "0.5")),
+    *((key, v) for key in ("b", "p", "a") for v in ("1_0", "٢")),
     *(("xi", v) for v in ("0", "-1", "x", "1,,2")),
 ]
 
 
 def bad_flag_cases():
     """Every family with each of its flags, --k and --p missing, zero,
-    negative or non-numeric, the others valid."""
+    negative, non-numeric, with a '_' or in non-ASCII digits, the others
+    valid."""
     for family, flags in FAMILY_FLAGS.items():
         for flag in (*flags, "--k", "--p"):
-            for value in (None, "0", "-1", "x"):
+            for value in (None, "0", "-1", "x", "1_0", "١"):
                 values = {**flags, "--k": "2", "--p": "1"}
                 if value is None:
                     del values[flag]
@@ -388,12 +396,12 @@ class TestBadInput:
         assert err.count("error:") == err.count("\n") == (code == 2)
 
     @pytest.mark.parametrize("flag", ["--runs", "--seed"])
-    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "1_0"])
     def test_preset_flags(self, flag, value, tmp_path, capsys):
         argv = ["preset", "table4_karate", "--runs", "2",
                 "--out", str(tmp_path / "t.csv"), flag, value]
         code = self.exit_code(argv)
-        assert code == (0 if flag == "--seed" and value != "x" else 2)
+        assert code == (0 if flag == "--seed" and value in ("0", "-1") else 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert (code == 0) == ("error:" not in err)

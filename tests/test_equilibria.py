@@ -12,9 +12,8 @@ from sharegoods import equilibria, game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (DynamicsResult, _trajectories,
                                 best_response_grid, derive_seed)
-from sharegoods.equilibria import (_admit, _dominating_owner_sets,
-                                   _follower_claims, _largest_bound,
-                                   empirical_cost_stats,
+from sharegoods.equilibria import (_dominating_owner_sets, _follower_claims,
+                                   _largest_bound, empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
@@ -148,7 +147,7 @@ class TestSggacEnumeration:
                 for xi in (1, 2, 3, 4):
                     cfg = GameConfig(SGG_AC, k, xi=xi)
                     expected = brute_force_sggac_ne_owner_sets(g, cfg)
-                    masks = _dominating_owner_sets(cov, _admit(cov, SGG_AC, xi))
+                    masks = _dominating_owner_sets(cov, xi)
                     assert len(masks) == len(set(masks)) == len(expected)
                     assert {frozenset(i for i in range(g.n) if m >> i & 1)
                             for m in masks} == expected
