@@ -161,16 +161,6 @@ def write_csv(rows: list[dict], path) -> None:
 TABLE3_XI_GRID = (1, 2, 5, 10, 20)
 
 
-def _dataset_label(spec: FamilySpec) -> str:
-    if spec.family == "karate":
-        return "karate"
-    if spec.family == "er_random":
-        return f"er_random({spec.n},{spec.prob:g})"
-    if spec.family in ("two_center_tree", "center_arms_tree"):
-        return f"{spec.family}({spec.k},{spec.m})"
-    return f"{spec.family}({spec.n})"
-
-
 def presets(name: str, runs: int = 1000,
             master_seed: int = 0) -> list[ExperimentConfig]:
     """Fully populated experiment configurations for the benchmark tables
@@ -179,16 +169,16 @@ def presets(name: str, runs: int = 1000,
         configs = []
         for spec in specs:
             g = netgraph.generate(spec)
-            label = _dataset_label(spec)
             for variant, xis in ((SGG, None), (SGG_AC, tuple(xi_grid))):
                 configs.append(ExperimentConfig(
-                    label, g, variant, k, xi_values=xis, runs=runs,
+                    spec.label, g, variant, k, xi_values=xis, runs=runs,
                     master_seed=master_seed))
         return configs
 
     if name == "table3_synthetic":
         specs = [FamilySpec("star", n=100), FamilySpec("chain", n=100),
-                 FamilySpec("er_random", n=50, prob=0.1, seed=master_seed)]
+                 FamilySpec("er_random", n=50, prob=0.1,
+                            graph_seed=master_seed)]
         return rows(specs, 1, TABLE3_XI_GRID)
     if name == "table3_karate":
         return rows([FamilySpec("karate")], 1, TABLE3_XI_GRID)
@@ -233,27 +223,22 @@ def _float(key: str, value: str | None) -> float | None:
 
 
 def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
-    if "edge_list" in values:
-        path = values["edge_list"]
-        g = netgraph.load_edge_list(Path(path).read_text())
-        return Path(path).name, g
-    if "family" not in values:
+    params = {key: (_float if key == "prob" else _int)(key, values[key])
+              for key in netgraph.PARAMS if key in values}
+    if ("edge_list" in values) == ("family" in values):
         raise ConfigError("the graph needs either a family or an edge list")
-    spec = FamilySpec(
-        family=values["family"],
-        n=_int("n", values.get("n")),
-        k=_int("arm_len", values.get("arm_len")),
-        m=_int("m", values.get("m")),
-        prob=_float("prob", values.get("prob")),
-        seed=_int("graph_seed", values.get("graph_seed")),
-    )
-    g = netgraph.generate(spec)   # rejects specs the label cannot print
-    return _dataset_label(spec), g
+    if "family" in values:
+        spec = FamilySpec(values["family"], **params)
+        g = netgraph.generate(spec)   # rejects specs the label cannot print
+        return spec.label, g
+    if params:
+        raise ConfigError(f"an edge list takes no {next(iter(params))!r}")
+    path = Path(values["edge_list"])
+    return path.name, netgraph.load_edge_list(path.read_text())
 
 
 # The config keys of the graph; each family flag stores into its key.
-GRAPH_KEYS = ("edge_list", "family", "n", "m", "arm_len", "prob",
-              "graph_seed")
+GRAPH_KEYS = ("edge_list", "family", *netgraph.PARAMS)
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
@@ -286,13 +271,12 @@ def config_from_values(values: dict) -> ExperimentConfig:
 
 def _add_family_flags(parser) -> None:
     parser.add_argument("--graph", dest="edge_list", help="edge-list file")
-    parser.add_argument("--family", help="built-in graph family")
-    parser.add_argument("--n")
-    parser.add_argument("--m")
-    parser.add_argument("--arm-len", dest="arm_len",
-                        help="arm length for the tree families")
-    parser.add_argument("--prob")
-    parser.add_argument("--graph-seed", dest="graph_seed")
+    parser.add_argument("--family", help=", ".join(netgraph.FAMILIES))
+    for key in netgraph.PARAMS:
+        users = [f for f, (_, params) in netgraph.FAMILIES.items()
+                 if key in params]
+        parser.add_argument("--" + key.replace("_", "-"),
+                            help="for " + ", ".join(users))
     parser.add_argument("--k", default="1")
     parser.add_argument("--p", default="1")
 

@@ -34,8 +34,8 @@ def check_k_p(k: int, p: float) -> None:
     """The radius and price rules that every game and the optimum share."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not p > 0:
-        raise ValueError("price p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError("price p must be positive and finite")
 
 
 @dataclass
@@ -54,8 +54,8 @@ class GameConfig:
         if self.variant not in (SGG, SGG_AC):
             raise ValueError(f"unknown variant {self.variant!r}")
         check_k_p(self.k, self.p)
-        if not self.b > self.p:
-            raise ValueError("benefit b must exceed price p")
+        if not self.p < self.b < math.inf:
+            raise ValueError("benefit b must be finite and exceed price p")
         if self.variant == SGG:
             if self.a is not None or self.xi is not None:
                 raise ValueError("a and xi apply only to SGG-AC")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 
@@ -105,14 +105,26 @@ class Graph:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameters for one of the built-in graph families."""
+    """A built-in graph family and its parameters, one field per config key
+    (`arm_len` is the tree families' arm length, `graph_seed` the seed of
+    er_random); `FAMILIES` says which fields each family takes."""
 
     family: str
     n: int | None = None
-    k: int | None = None
+    arm_len: int | None = None
     m: int | None = None
     prob: float | None = None
-    seed: int | None = None
+    graph_seed: int | None = None
+
+    @property
+    def label(self) -> str:
+        """The dataset name: the family and, in brackets, its params other
+        than graph_seed, e.g. `er_random(50,0.1)`; `karate` takes none."""
+        values = [getattr(self, key) for key in FAMILIES[self.family][1]
+                  if key != "graph_seed"]
+        shown = ",".join(format(v, "g" if isinstance(v, float) else "")
+                         for v in values)
+        return f"{self.family}({shown})" if values else self.family
 
 
 def load_edge_list(text: str) -> Graph:
@@ -209,38 +221,32 @@ def karate() -> Graph:
     return Graph(34, KARATE_EDGES)
 
 
+# Each family's builder and the FamilySpec fields it takes, in the
+# builder's argument order.
+FAMILIES = {
+    "star": (star, ("n",)),
+    "chain": (chain, ("n",)),
+    "complete": (complete, ("n",)),
+    "er_random": (er_random, ("n", "prob", "graph_seed")),
+    "two_center_tree": (two_center_tree, ("arm_len", "m")),
+    "center_arms_tree": (center_arms_tree, ("arm_len", "m")),
+    "karate": (karate, ()),
+}
+# Every family parameter: the FamilySpec fields after `family`.
+PARAMS = tuple(f.name for f in fields(FamilySpec))[1:]
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Build a graph from a FamilySpec, validating family-specific params."""
-    fam = spec.family
-    if fam == "star":
-        _require(spec, "n")
-        return star(spec.n)
-    if fam == "chain":
-        _require(spec, "n")
-        return chain(spec.n)
-    if fam == "complete":
-        _require(spec, "n")
-        return complete(spec.n)
-    if fam == "er_random":
-        _require(spec, "n", "prob")
-        if spec.seed is None:
-            raise ConfigError("er_random requires a seed")
-        return er_random(spec.n, spec.prob, spec.seed)
-    if fam == "two_center_tree":
-        _require(spec, "k", "m")
-        return two_center_tree(spec.k, spec.m)
-    if fam == "center_arms_tree":
-        _require(spec, "k", "m")
-        return center_arms_tree(spec.k, spec.m)
-    if fam == "karate":
-        return karate()
-    raise ConfigError(f"unknown family {fam!r}")
-
-
-def _require(spec: FamilySpec, *fields: str) -> None:
-    for f in fields:
-        if getattr(spec, f) is None:
-            raise ConfigError(f"family {spec.family!r} requires {f!r}")
+    """Build a graph from a FamilySpec that sets exactly its family's
+    params and leaves the others None."""
+    if spec.family not in FAMILIES:
+        raise ConfigError(f"unknown family {spec.family!r}")
+    builder, params = FAMILIES[spec.family]
+    for key in PARAMS:
+        if (getattr(spec, key) is None) == (key in params):
+            rule = "requires" if key in params else "takes no"
+            raise ConfigError(f"family {spec.family!r} {rule} {key!r}")
+    return builder(*(getattr(spec, key) for key in params))
 
 
 def connected_components(g: Graph) -> list[list[int]]:

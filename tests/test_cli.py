@@ -209,7 +209,14 @@ class TestConfigFile:
                 ("p = ٢\n", [], "p must be a number, got '٢'"),
                 ("family = er_random\nprob = ٠.٥\n", [],
                  "prob must be a number, got '٠.٥'"),
-                ("", ["--a", "1_0"], "a must be a number, got '1_0'")]:
+                ("", ["--a", "1_0"], "a must be a number, got '1_0'"),
+                # A price or benefit must also be finite.
+                ("b = inf\n", [],
+                 "benefit b must be finite and exceed price p"),
+                ("b = 1e400\n", [],
+                 "benefit b must be finite and exceed price p"),
+                ("p = inf\nb = inf\n", [],
+                 "price p must be positive and finite")]:
             cfg_path.write_text(base + line)
             assert main(["run", str(cfg_path), *flags]) == 2
             assert capsys.readouterr().err == f"error: {err}\n"
@@ -331,11 +338,11 @@ BAD_GAME_KEYS = [
 
 def bad_flag_cases():
     """Every family with each of its flags, --k and --p missing, zero,
-    negative, non-numeric, with a '_' or in non-ASCII digits, the others
-    valid."""
+    negative, infinite, non-numeric, with a '_' or in non-ASCII digits, the
+    others valid."""
     for family, flags in FAMILY_FLAGS.items():
         for flag in (*flags, "--k", "--p"):
-            for value in (None, "0", "-1", "x", "1_0", "١"):
+            for value in (None, "0", "-1", "inf", "x", "1_0", "١"):
                 values = {**flags, "--k": "2", "--p": "1"}
                 if value is None:
                     del values[flag]
@@ -427,6 +434,94 @@ class TestBadInput:
         assert main(["export-lp", *family, "--out", str(tmp_path / "g.lp")]) == 2
         assert capsys.readouterr().err == \
             "error: family 'er_random' requires 'prob'\n" * 2
+
+
+# The dataset label of each family built from its FAMILY_FLAGS.
+LABELS = {
+    "star": "star(6)",
+    "chain": "chain(6)",
+    "complete": "complete(4)",
+    "er_random": "er_random(6,0.4)",
+    "two_center_tree": "two_center_tree(1,2)",
+    "center_arms_tree": "center_arms_tree(1,2)",
+    "karate": "karate",
+}
+
+
+class TestFamilyTable:
+    """Every family of `netgraph.FAMILIES`, through a `run` config and the
+    `optimum` flags: built from exactly its keys it gives its label, and a
+    missing key or one it does not take ends in one `error:` line naming
+    the config key, with exit 2."""
+
+    @staticmethod
+    def run(command, keys, tmp_path, capsys):
+        """Exit code, stdout and stderr of `command` given the graph keys,
+        as config keys under `run` and as their flags under `optimum`."""
+        if command == "run":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("analyses = optimum\nruns = 1\n" + "".join(
+                f"{key} = {value}\n" for key, value in keys.items()))
+            argv = ["run", str(cfg)]
+        else:
+            argv = ["optimum"]
+            for key, value in keys.items():
+                flag = "graph" if key == "edge_list" else key
+                argv += ["--" + flag.replace("_", "-"), value]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert err.count("\n") == err.count("error:") == (code == 2)
+        return code, out, err
+
+    @pytest.mark.parametrize("command", ["run", "optimum"])
+    @pytest.mark.parametrize("family", ng.FAMILIES)
+    def test_keys(self, family, command, tmp_path, capsys):
+        valid = {CONFIG_KEYS[f]: v for flags in FAMILY_FLAGS.values()
+                 for f, v in flags.items()}
+        keys = {CONFIG_KEYS[f]: v for f, v in FAMILY_FLAGS[family].items()}
+        _, params = ng.FAMILIES[family]
+        assert sorted(keys) == sorted(params)
+        code, out, _ = self.run(command, {"family": family, **keys},
+                                tmp_path, capsys)
+        assert code == 0
+        if command == "run":
+            row, = csv.DictReader(out.splitlines())
+            assert row["dataset"] == LABELS[family]
+        else:
+            assert out.startswith(f"{LABELS[family]}: k=1 ")
+        for key in params:
+            missing = {k: v for k, v in keys.items() if k != key}
+            code, _, err = self.run(command, {"family": family, **missing},
+                                    tmp_path, capsys)
+            assert (code, err) == \
+                (2, f"error: family {family!r} requires {key!r}\n")
+        for key in ng.PARAMS:
+            if key not in params:
+                extra = {**keys, key: valid[key]}
+                code, _, err = self.run(command, {"family": family, **extra},
+                                        tmp_path, capsys)
+                assert (code, err) == \
+                    (2, f"error: family {family!r} takes no {key!r}\n")
+
+    @pytest.mark.parametrize("command", ["run", "optimum"])
+    def test_edge_list_or_family(self, command, tmp_path, capsys):
+        """The graph is exactly one of an edge list and a family, and an
+        edge list takes no family keys."""
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n")
+        either = "error: the graph needs either a family or an edge list\n"
+        for keys, err in [
+                ({"edge_list": str(edges), "family": "karate"}, either),
+                ({"edge_list": str(edges), "family": "chain", "n": "3"},
+                 either),
+                ({}, either),
+                ({"edge_list": str(edges), "n": "3"},
+                 "error: an edge list takes no 'n'\n")]:
+            code, _, printed = self.run(command, keys, tmp_path, capsys)
+            assert (code, printed) == (2, err)
+        assert self.run(command, {"edge_list": str(edges)},
+                        tmp_path, capsys)[0] == 0
 
 
 class TestSubcommands:

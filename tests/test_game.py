@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,7 +20,6 @@ class TestGameConfig:
         assert cfg.xi == 2  # ceil(1/0.4) - 1 = 2
 
     def test_a_derivation_from_xi(self):
-        import math
         for xi in (1, 2, 5, 10, 20):
             cfg = GameConfig(SGG_AC, 1, b=2, p=1, xi=xi)
             assert math.ceil(cfg.p / cfg.a) - 1 == xi
@@ -38,6 +38,12 @@ class TestGameConfig:
             GameConfig(SGG_AC, 1, b=2, p=1, a=0.5)  # p/a integral
         with pytest.raises(ValueError):
             GameConfig(SGG, 1, a=0.4)
+        # An infinite price or benefit is no number of the game.
+        for b, p in ((math.inf, 1), (1e400, 1), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="^(benefit|price) "):
+                GameConfig(SGG, 1, b=b, p=p)
+        with pytest.raises(ValueError, match="^price p must be positive"):
+            game.check_k_p(1, math.inf)
 
 
 class TestFollowers:

@@ -191,7 +191,7 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             ng.generate(FamilySpec("star"))
         with pytest.raises(ConfigError):
-            ng.generate(FamilySpec("er_random", n=5, prob=1.5, seed=0))
+            ng.generate(FamilySpec("er_random", n=5, prob=1.5, graph_seed=0))
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):
