@@ -47,12 +47,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.xi_values and len(set(self.xi_values)) < len(self.xi_values):
+            raise ConfigError("xi values must be distinct")
         try:
             self.cfgs = [GameConfig(self.variant, self.k, b=self.b, p=self.p,
                                     a=self.a, xi=xi)
                          for xi in self.xi_values or (None,)]
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not self.analyses:
+            raise ConfigError("analyses must name at least one analysis")
         unknown = set(self.analyses) - set(KNOWN_ANALYSES)
         if unknown:
             raise ConfigError(f"unknown analyses: {sorted(unknown)}")

@@ -24,6 +24,15 @@ decides and draws exactly as it would alone. A row keeps only each
 run's owner count and passes; `best_response_dynamics` is the same loop
 for one config and one seed, and returns the whole result.
 
+Runs are independent and each re-seeds its generator, so a row splits its
+seeds into one contiguous chunk per CPU the process may use
+(`os.sched_getaffinity`), and the results are the same bytes on any
+number of CPUs. The process runs the first chunk and a forked child each
+later one; a child shares the parent's pages copy-on-write, sends its
+lists back through a pipe and leaves through `os._exit`. Its memory is
+outside the parent's `RUSAGE_SELF`, so outside the benchmark's
+`peak_rss_mb`. Without `os.fork` a row runs serially.
+
 Every draw is written out over `rng.getrandbits`, as CPython's
 `random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
 `r = getrandbits(b)` redrawn while r >= m; `choice(seq)` is
@@ -38,11 +47,14 @@ shuffle: each SGG move has one best response, so it draws nothing.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import signal
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 from . import game
 from .game import SGG, SGG_AC, GameConfig, Profile
@@ -171,13 +183,16 @@ def _trajectories(g: Graph, cfgs: list[GameConfig], seeds: Iterable[int]):
             yield state, xis, case_counts
 
 
-def best_response_grid(g: Graph, cfgs: list[GameConfig], seeds: Iterable[int]
-                       ) -> list[tuple[list[int], list[int]]]:
-    """One Monte-Carlo row: best-response dynamics for each cfg of cfgs,
-    which must share variant and k, one run per seed. Returns, per config,
-    the owner count and the passes of each run; configs of one xi share one
-    pair of lists. Each run draws its start once and sweeps one trajectory
-    per group of xi values that decide alike."""
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork or the
+    OS does not say."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _grid_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int]) -> dict:
+    """The serial row: {xi: (owner counts, passes)}, one entry per run."""
     per_xi = {cfg.xi: ([], []) for cfg in cfgs}
     n = g.n
     for state, xis, case_counts in _trajectories(g, cfgs, seeds):
@@ -188,6 +203,76 @@ def best_response_grid(g: Graph, cfgs: list[GameConfig], seeds: Iterable[int]
             owned, passes = per_xi[xi]
             owned.append(count)
             passes.append(len(case_counts))
+    return per_xi
+
+
+def _fork_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int]
+                ) -> tuple[int, BinaryIO]:
+    """Fork a child that runs `_grid_chunk` on seeds and writes to a pipe
+    marshal.dumps of its per-xi lists, or of a RuntimeError's message.
+    Returns (pid, the pipe's read end). The child leaves through os._exit,
+    so it never returns into the caller, flushes stdio or runs atexit
+    hooks."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    code = 1
+    try:
+        os.close(r)
+        try:
+            out = list(_grid_chunk(g, cfgs, seeds).values())
+        except RuntimeError as exc:
+            out = str(exc)
+        with open(w, "wb") as fh:
+            fh.write(marshal.dumps(out))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def best_response_grid(g: Graph, cfgs: list[GameConfig], seeds: Iterable[int]
+                       ) -> list[tuple[list[int], list[int]]]:
+    """One Monte-Carlo row: best-response dynamics for each cfg of cfgs,
+    which must share variant and k, one run per seed. Returns, per config,
+    the owner count and the passes of each run; configs of one xi share one
+    pair of lists. Each run draws its start once and sweeps one trajectory
+    per group of xi values that decide alike.
+
+    The seeds split into one contiguous chunk per CPU: this process runs
+    the first, a forked child each later one, and the chunks' lists are
+    joined in seed order, so the result is the serial one."""
+    seeds = list(seeds)
+    parts = max(1, min(_cpus(), len(seeds)))
+    cut = [len(seeds) * c // parts for c in range(parts + 1)]
+    children = []           # (pid, read end) of each child not yet reaped
+    try:
+        for c in range(1, parts):
+            children.append(_fork_chunk(g, cfgs, seeds[cut[c]:cut[c + 1]]))
+        per_xi = _grid_chunk(g, cfgs, seeds[:cut[1]])
+        while children:
+            pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                raise RuntimeError(f"a dynamics worker exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+            out = marshal.loads(data)
+            if isinstance(out, str):
+                raise RuntimeError(out)
+            for (owned, passes), (more_owned, more_passes) in zip(
+                    per_xi.values(), out):
+                owned += more_owned
+                passes += more_passes
+    except BaseException:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
     return [per_xi[cfg.xi] for cfg in cfgs]
 
 

@@ -116,6 +116,11 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig("x", ng.chain(3), SGG, 1, analyses=("plot",),
                              **SMALL)
+        with pytest.raises(ConfigError):
+            ExperimentConfig("x", ng.chain(3), SGG, 1, analyses=(), **SMALL)
+        with pytest.raises(ConfigError):
+            ExperimentConfig("x", ng.chain(3), SGG_AC, 1, xi_values=(2, 2),
+                             **SMALL)
 
 
 class TestCsvOutput:
@@ -216,7 +221,15 @@ class TestConfigFile:
                 ("b = 1e400\n", [],
                  "benefit b must be finite and exceed price p"),
                 ("p = inf\nb = inf\n", [],
-                 "price p must be positive and finite")]:
+                 "price p must be positive and finite"),
+                # Each run needs an analysis, and each xi one row.
+                ("analyses =\n", [],
+                 "analyses must name at least one analysis"),
+                ("analyses = ,\n", [],
+                 "analyses must name at least one analysis"),
+                ("xi = 2,2\n", [], "xi values must be distinct"),
+                ("xi = 1,2,01\n", [], "xi values must be distinct"),
+                ("", ["--xi", "2,2"], "xi values must be distinct")]:
             cfg_path.write_text(base + line)
             assert main(["run", str(cfg_path), *flags]) == 2
             assert capsys.readouterr().err == f"error: {err}\n"

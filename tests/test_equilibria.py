@@ -1,4 +1,10 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +14,7 @@ from _oracles import (ball_masks, brute_force_ne_owner_masks,
                       is_nash, largest_ne_extension, listed_ne_sizes,
                       listing_follower_claims, random_graph,
                       reference_dynamics)
-from sharegoods import equilibria, game
+from sharegoods import dynamics, equilibria, game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (DynamicsResult, _trajectories,
                                 best_response_grid, derive_seed)
@@ -487,3 +493,119 @@ class TestEmpiricalStats:
             seen.add((kind, k))
         assert len(seen) == 9
         assert {1, 2} <= split_on          # stars and chains split
+
+
+class TestForkedRow:
+    """best_response_grid splits its seeds into one chunk per CPU
+    (dynamics._cpus): the first runs in this process, each later one in a
+    forked child."""
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_serial(self, monkeypatch, cpus):
+        """The same per-xi lists as the serial row, for every run count up
+        to 7, fewer runs than chunks among them; configs of one xi still
+        share one pair of lists."""
+        rows = [(ng.star(12), [GameConfig(SGG, 1),
+                               GameConfig(SGG, 1, b=3, p=2)]),
+                (ng.chain(15), [GameConfig(SGG, 2)]),
+                (ng.karate(), [GameConfig(SGG_AC, 1, xi=xi)
+                               for xi in (1, 2, 5, 10, 20)]
+                 + [GameConfig(SGG_AC, 1, a=0.45)]),      # xi = 2 again
+                (ng.chain(15), [GameConfig(SGG_AC, 2, xi=2)])]
+        for g, cfgs in rows:
+            for runs in range(1, 8):
+                seeds = [derive_seed(9, r) for r in range(runs)]
+                monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
+                serial = best_response_grid(g, cfgs, seeds)
+                monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
+                got = best_response_grid(g, cfgs, iter(seeds))
+                assert got == serial, (g.n, cfgs, runs)
+                assert all(len(owned) == runs for owned, _ in got)
+                for c, cfg in enumerate(cfgs):
+                    for other, shared in zip(cfgs, got):
+                        assert (shared is got[c]) == (other.xi == cfg.xi)
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_child_error(self, monkeypatch, cpus):
+        """A RuntimeError in a child's chunk reaches the caller with its
+        message, and no child is left."""
+        seeds = list(range(6))
+        grid_chunk = dynamics._grid_chunk
+
+        def failing(g, cfgs, chunk):
+            if 3 in chunk:    # a child's chunk, the middle one at 3 CPUs
+                raise RuntimeError(f"failed in process {os.getpid()}")
+            return grid_chunk(g, cfgs, chunk)
+
+        monkeypatch.setattr(dynamics, "_grid_chunk", failing)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
+        with pytest.raises(RuntimeError, match=r"^failed in process \d+$"
+                           ) as exc:
+            best_response_grid(ng.karate(), [GameConfig(SGG_AC, 1, xi=2)],
+                               seeds)
+        assert str(exc.value) != f"failed in process {os.getpid()}"
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("how, status", [("exit", "3"), ("kill", "-9")])
+    def test_child_death(self, monkeypatch, how, status):
+        """A child that dies without reporting is a RuntimeError that names
+        its exit status."""
+        def dying(g, cfgs, chunk):
+            if 1 in chunk:
+                if how == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return []
+
+        monkeypatch.setattr(dynamics, "_grid_chunk", dying)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+        with pytest.raises(RuntimeError,
+                           match=f"exited with status {status}$"):
+            best_response_grid(ng.star(5), [GameConfig(SGG, 1)], [0, 1])
+        self.assert_no_children()
+
+    def test_parent_error_kills_children(self, monkeypatch):
+        """When this process's own chunk fails, it kills its children
+        rather than wait for them."""
+        grid_chunk = dynamics._grid_chunk
+
+        def failing(g, cfgs, chunk):
+            if 0 in chunk:                # this process's chunk
+                raise RuntimeError("parent failed")
+            time.sleep(60)
+            return grid_chunk(g, cfgs, chunk)
+
+        monkeypatch.setattr(dynamics, "_grid_chunk", failing)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 3)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^parent failed$"):
+            best_response_grid(ng.star(5), [GameConfig(SGG, 1)], range(6))
+        assert time.monotonic() - start < 30
+        self.assert_no_children()
+
+    def test_stdout_written_once(self):
+        """Text buffered in sys.stdout before a row, with stdout a pipe,
+        is written once: children leave without flushing it or running
+        atexit hooks."""
+        script = (
+            "import atexit, sys\n"
+            "from sharegoods import dynamics, netgraph\n"
+            "from sharegoods.game import GameConfig, SGG_AC\n"
+            "dynamics._cpus = lambda: 3\n"
+            "atexit.register(print, 'atexit')\n"
+            "print('before the row')\n"
+            "dynamics.best_response_grid(\n"
+            "    netgraph.karate(), [GameConfig(SGG_AC, 1, xi=2)], range(7))\n"
+            "print('after the row')\n")
+        src = Path(dynamics.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "before the row\nafter the row\natexit\n"
