@@ -96,20 +96,34 @@ def _optimum(g: Graph, k: int, p: float):
     return min_dominating_exact(g, k, p=p)
 
 
-def compute_row(config: ExperimentConfig) -> list[dict]:
-    """The CSV rows of one experiment, one per (variant, xi) in order. The
-    dynamics of all rows run together: each run is drawn once for the
-    whole xi grid and swept once per group of xi values that decide
-    alike."""
+def compute_row(configs: list[ExperimentConfig]) -> list[dict]:
+    """The CSV rows of a command's experiments, one per (experiment, xi) in
+    order. The dynamics of every experiment run first, in one
+    `empirical_cost_stats` call, so that their runs are dealt over the CPUs
+    together; each run is drawn once for its experiment's whole xi grid and
+    swept once per group of xi values that decide alike."""
+    dynamic = [c for c in configs if "dynamics" in c.analyses]
+    stats = iter(empirical_cost_stats(
+        [(c.graph, c.cfgs, c.runs, c.master_seed) for c in dynamic])
+        if dynamic else ())
+    rows = []
+    for config in configs:
+        no_stats = [None] * len(config.cfgs)
+        rows += _experiment_rows(config, next(stats) if "dynamics" in
+                                 config.analyses else no_stats)
+    return rows
+
+
+def _experiment_rows(config: ExperimentConfig, stats: list) -> list[dict]:
+    """The CSV rows of one experiment, given its dynamics statistics (None
+    per config without them)."""
     g = config.graph
     cfgs = config.cfgs
     analyses = config.analyses
     opt = None
     if {"optimum", "exact_efficiency", "stabilize"} & set(analyses):
         opt = _optimum(g, config.k, config.p)
-    stats = reports = [None] * len(cfgs)
-    if "dynamics" in analyses:
-        stats = empirical_cost_stats(g, cfgs, config.runs, config.master_seed)
+    reports = [None] * len(cfgs)
     if "exact_efficiency" in analyses:
         reports = exact_efficiency(g, cfgs, opt)
     if "export_lp" in analyses:    # the LP depends on the graph, k and p
@@ -323,7 +337,7 @@ def main(argv=None) -> int:
                 if override is not None:
                     values[key] = override
             config = config_from_values(values)
-            rows = compute_row(config)
+            rows = compute_row([config])
             if config.out:
                 write_csv(rows, config.out)
                 print(f"wrote {len(rows)} rows to {config.out}")
@@ -332,9 +346,7 @@ def main(argv=None) -> int:
         elif args.command == "preset":
             configs = presets(args.name, _int("runs", args.runs),
                               _int("seed", args.seed))
-            rows = []
-            for config in configs:
-                rows.extend(compute_row(config))
+            rows = compute_row(configs)
             write_csv(rows, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
         else:                    # optimum, export-lp

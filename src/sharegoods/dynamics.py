@@ -8,9 +8,9 @@ response to one of its best responses drawn uniformly. It provably reaches
 a Nash equilibrium within three sweeps; we count sweeps and fail loudly if
 a fourth would be needed.
 
-A Monte-Carlo row is one loop (`best_response_grid`): it takes the
-row's configs, which share variant and k, and one seed per run, and sets
-up once what every run shares: the k-balls, the sorted xi grid, the node
+A Monte-Carlo row is one loop (`_trajectories`): it takes the row's
+configs, which share variant and k, and one seed per run, and sets up
+once what every run shares: the k-balls, the sorted xi grid, the node
 order template and one `random.Random`, re-seeded per run to the state
 `random.Random(seed)` starts in. A run then draws its start profile with
 its follower and owner counts in one pass (`draw_starts`) and sweeps it.
@@ -20,18 +20,24 @@ the configs' xi values sweep together as one group until a node whose
 decision differs across them; there the group splits in two, the xi
 values that rent and those that buy, and each part resumes from that
 node with its own copy of the state and of the generator. Each xi thus
-decides and draws exactly as it would alone. A row keeps only each
-run's owner count and passes; `best_response_dynamics` is the same loop
-for one config and one seed, and returns the whole result.
+decides and draws exactly as it would alone. A row keeps, per xi, only a
+tally of its runs' owner counts and one of their passes;
+`best_response_dynamics` is the same loop for one config and one seed,
+and returns the whole result.
 
-Runs are independent and each re-seeds its generator, so a row splits its
-seeds into one contiguous chunk per CPU the process may use
-(`os.sched_getaffinity`), and the results are the same bytes on any
-number of CPUs. The process runs the first chunk and a forked child each
-later one; a child shares the parent's pages copy-on-write, sends its
-lists back through a pipe and leaves through `os._exit`. Its memory is
-outside the parent's `RUSAGE_SELF`, so outside the benchmark's
-`peak_rss_mb`. Without `os.fork` a row runs serially.
+`best_response_grid` runs every row of a command at once. Runs are
+independent and each re-seeds its generator, so it cuts each row's seeds
+into at most 16 blocks and writes one 4-byte token per block into a
+pipe, which it closes before it forks one child per further CPU the
+process may use (`os.sched_getaffinity`). Every process reads tokens
+until the pipe is empty and adds each block's runs to its own tallies; a
+child sends its tallies back through a pipe of its own with `marshal`,
+and the parent adds them. A tally does not depend on which process ran a
+block, so the results are the same on any number of CPUs and under any
+dealing. A child shares the parent's pages, the k-balls among them,
+copy-on-write, and leaves through `os._exit`; its memory is outside the
+parent's `RUSAGE_SELF`, so outside the benchmark's `peak_rss_mb`.
+Without `os.fork` every block runs in the process.
 
 Every draw is written out over `rng.getrandbits`, as CPython's
 `random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
@@ -191,28 +197,49 @@ def _cpus() -> int:
     return 1
 
 
-def _grid_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int]) -> dict:
-    """The serial row: {xi: (owner counts, passes)}, one entry per run."""
-    per_xi = {cfg.xi: ([], []) for cfg in cfgs}
+# A row's seeds are cut into at most this many blocks, each dealt as one
+# token. All tokens go into the pipe before any process reads it, so they
+# must fit in the smallest pipe Linux makes, one 4 KiB page.
+_BLOCKS = 16
+_MAX_TOKENS = 4096 // 4
+
+
+def _grid_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int],
+                per_xi: dict) -> None:
+    """Run seeds serially, adding each run to per_xi[xi], a pair of
+    tallies {owner count: runs} and {passes: runs}, for each xi of cfgs."""
     n = g.n
     for state, xis, case_counts in _trajectories(g, cfgs, seeds):
         # Every non-owner follows one owner under SGG-AC, so the owners
         # are the nodes that flw does not count.
         count = state.s.count(1) if state.sgg else n - sum(state.flw)
+        passes = len(case_counts)
         for xi in xis:
-            owned, passes = per_xi[xi]
-            owned.append(count)
-            passes.append(len(case_counts))
-    return per_xi
+            owned, npasses = per_xi[xi]
+            owned[count] = owned.get(count, 0) + 1
+            npasses[passes] = npasses.get(passes, 0) + 1
 
 
-def _fork_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int]
-                ) -> tuple[int, BinaryIO]:
-    """Fork a child that runs `_grid_chunk` on seeds and writes to a pipe
-    marshal.dumps of its per-xi lists, or of a RuntimeError's message.
-    Returns (pid, the pipe's read end). The child leaves through os._exit,
-    so it never returns into the caller, flushes stdio or runs atexit
-    hooks."""
+def _tallies(rows) -> list[dict]:
+    """Empty tallies: one {xi: ({}, {})} per row."""
+    return [{cfg.xi: ({}, {}) for cfg in cfgs} for _, cfgs, _ in rows]
+
+
+def _deal(rows, blocks, tokens: int, tallies: list[dict]) -> list[dict]:
+    """Read tokens from the pipe's read end until it is empty, run each
+    token's block of seeds and add its runs to tallies."""
+    while token := os.read(tokens, 4):
+        r, lo, hi = blocks[int.from_bytes(token, "little")]
+        g, cfgs, seeds = rows[r]
+        _grid_chunk(g, cfgs, seeds[lo:hi], tallies[r])
+    return tallies
+
+
+def _fork_worker(rows, blocks, tokens: int) -> tuple[int, BinaryIO]:
+    """Fork a child that runs `_deal` on fresh tallies and writes to a
+    pipe marshal.dumps of them, or of a RuntimeError's message. Returns
+    (pid, the pipe's read end). The child leaves through os._exit, so it
+    never returns into the caller, flushes stdio or runs atexit hooks."""
     r, w = os.pipe()
     pid = os.fork()
     if pid:
@@ -222,7 +249,7 @@ def _fork_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int]
     try:
         os.close(r)
         try:
-            out = list(_grid_chunk(g, cfgs, seeds).values())
+            out = _deal(rows, blocks, tokens, _tallies(rows))
         except RuntimeError as exc:
             out = str(exc)
         with open(w, "wb") as fh:
@@ -232,48 +259,73 @@ def _fork_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int]
         os._exit(code)
 
 
-def best_response_grid(g: Graph, cfgs: list[GameConfig], seeds: Iterable[int]
-                       ) -> list[tuple[list[int], list[int]]]:
-    """One Monte-Carlo row: best-response dynamics for each cfg of cfgs,
-    which must share variant and k, one run per seed. Returns, per config,
-    the owner count and the passes of each run; configs of one xi share one
-    pair of lists. Each run draws its start once and sweeps one trajectory
-    per group of xi values that decide alike.
+def _add(tallies: list[dict], more: list[dict]) -> None:
+    """Add the runs of each tally of more to the same tally of tallies."""
+    for per_xi, extra in zip(tallies, more):
+        for xi, pair in extra.items():
+            for tally, counts in zip(per_xi[xi], pair):
+                for value, runs in counts.items():
+                    tally[value] = tally.get(value, 0) + runs
 
-    The seeds split into one contiguous chunk per CPU: this process runs
-    the first, a forked child each later one, and the chunks' lists are
-    joined in seed order, so the result is the serial one."""
-    seeds = list(seeds)
-    parts = max(1, min(_cpus(), len(seeds)))
-    cut = [len(seeds) * c // parts for c in range(parts + 1)]
-    children = []           # (pid, read end) of each child not yet reaped
-    try:
-        for c in range(1, parts):
-            children.append(_fork_chunk(g, cfgs, seeds[cut[c]:cut[c + 1]]))
-        per_xi = _grid_chunk(g, cfgs, seeds[:cut[1]])
-        while children:
-            pid, fh = children[0]
-            with fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if status:
-                raise RuntimeError(f"a dynamics worker exited with status "
-                                   f"{os.waitstatus_to_exitcode(status)}")
-            out = marshal.loads(data)
-            if isinstance(out, str):
-                raise RuntimeError(out)
-            for (owned, passes), (more_owned, more_passes) in zip(
-                    per_xi.values(), out):
-                owned += more_owned
-                passes += more_passes
-    except BaseException:
-        for pid, fh in children:
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    return [per_xi[cfg.xi] for cfg in cfgs]
+
+def best_response_grid(rows) -> list[list[tuple[dict, dict]]]:
+    """Monte-Carlo rows: for each (g, cfgs, seeds) of rows, best-response
+    dynamics for each cfg of cfgs, which must share variant and k, one run
+    per seed of the sequence seeds. Returns, per row and per config, two
+    tallies: {owner count: runs that ended with it} and {passes: runs};
+    configs of one xi share one pair. Each run draws its start once and
+    sweeps one trajectory per group of xi values that decide alike.
+
+    The rows' k-balls are built first, so forked children inherit them.
+    Each row's seeds are cut into blocks, dealt through a pipe to this
+    process and a forked child per further CPU, and the tallies of all
+    processes are added, so the result is the serial one."""
+    blocks = []                         # (row, first seed, end) per token
+    for r, (g, cfgs, seeds) in enumerate(rows):
+        g.closed_neighborhoods(cfgs[0].k)
+        parts = min(_BLOCKS, len(seeds))
+        blocks += [(r, len(seeds) * b // parts, len(seeds) * (b + 1) // parts)
+                   for b in range(parts)]
+    tallies = _tallies(rows)
+    workers = min(_cpus(), len(blocks))
+    if workers < 2 or len(blocks) > _MAX_TOKENS:
+        for r, lo, hi in blocks:
+            g, cfgs, seeds = rows[r]
+            _grid_chunk(g, cfgs, seeds[lo:hi], tallies[r])
+    else:
+        tokens, w = os.pipe()
+        os.write(w, b"".join(t.to_bytes(4, "little")
+                             for t in range(len(blocks))))
+        os.close(w)
+        children = []       # (pid, read end) of each child not yet reaped
+        try:
+            for _ in range(workers - 1):
+                children.append(_fork_worker(rows, blocks, tokens))
+            _deal(rows, blocks, tokens, tallies)
+            while children:
+                pid, fh = children[0]
+                with fh:
+                    data = fh.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                if status:
+                    raise RuntimeError(
+                        f"a dynamics worker exited with status "
+                        f"{os.waitstatus_to_exitcode(status)}")
+                out = marshal.loads(data)
+                if isinstance(out, str):
+                    raise RuntimeError(out)
+                _add(tallies, out)
+        except BaseException:
+            for pid, fh in children:
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+        finally:
+            os.close(tokens)
+    return [[per_xi[cfg.xi] for cfg in cfgs]
+            for (_, cfgs, _), per_xi in zip(rows, tallies)]
 
 
 def best_response_dynamics(g: Graph, cfg: GameConfig,
@@ -296,7 +348,10 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
     range, fewer than xi followers), the lowest-id one. It rents from the
     first owner of its ball, its followers from the first owners of theirs,
     and each one left stranded, in id order, buys and takes the stranded
-    nodes of its ball.
+    nodes of its ball. The next check resumes after the poor owner: a
+    repair leaves every lower-id node on a best response, since the owners
+    in the poor owner's ball keep their followers and a promoted node has
+    no owner in range.
     """
     if cfg.variant != SGG_AC:
         raise game.VariantError("stabilize applies only to SGG-AC")
@@ -319,8 +374,9 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
 
     state = game.State(g, cfg, s)
     nbhd, flw, owners_in = state.nbhd, state.flw, state.owners_in
+    poor = -1
     for _ in range(len(set(opt_owners)) + 1):
-        poor = state.sweep(range(g.n))
+        poor = state.sweep(range(poor + 1, g.n))
         if poor < 0:
             break
         # poor rents; its ball loses an owner and holds all its followers.

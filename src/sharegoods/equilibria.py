@@ -221,27 +221,39 @@ def exact_efficiency(g: Graph, cfgs: list[GameConfig],
     return reports
 
 
-def empirical_cost_stats(g: Graph, cfgs: list[GameConfig], runs: int,
-                         master_seed: int) -> list[CostStats]:
-    """Social-cost statistics over repeated best-response dynamics runs, one
-    per config, seeds derived independently from (master_seed, run index).
+def empirical_cost_stats(rows) -> list[list[CostStats]]:
+    """Social-cost statistics over repeated best-response dynamics runs:
+    for each (g, cfgs, runs, master_seed) of rows, one CostStats per config,
+    seeds derived independently from (master_seed, run index).
 
-    The configs must share variant and k: one `best_response_grid` call
-    runs every seed for all of them."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if len({(cfg.variant, cfg.k) for cfg in cfgs}) > 1:
-        raise ValueError("the configs must share variant and k")
-    seeds = (derive_seed(master_seed, r) for r in range(runs))
+    The configs of a row must share variant and k. One `best_response_grid`
+    call runs every row, and rows of one (master_seed, runs) share one seed
+    list. The statistics depend on the multiset of a config's costs only,
+    so the runs are listed by value from their tallies."""
+    seeds, grid = {}, []
+    for g, cfgs, runs, master_seed in rows:
+        if runs < 1:
+            raise ValueError("runs must be >= 1")
+        if len({(cfg.variant, cfg.k) for cfg in cfgs}) > 1:
+            raise ValueError("the configs must share variant and k")
+        if (master_seed, runs) not in seeds:
+            seeds[master_seed, runs] = [derive_seed(master_seed, r)
+                                        for r in range(runs)]
+        grid.append((g, cfgs, seeds[master_seed, runs]))
     stats = []
-    for cfg, (owned, npasses) in zip(cfgs, best_response_grid(g, cfgs, seeds)):
-        cost = [cfg.p * count for count in owned]
-        stats.append(CostStats(
-            runs=runs,
-            mean_cost=statistics.fmean(cost),
-            std_cost=statistics.stdev(cost) if runs > 1 else 0.0,
-            min_cost=min(cost),
-            max_cost=max(cost),
-            mean_passes=statistics.fmean(npasses),
-        ))
+    for (_, cfgs, runs, _), tallies in zip(rows, best_response_grid(grid)):
+        row = []
+        for cfg, (owned, npasses) in zip(cfgs, tallies):
+            cost = [cfg.p * count for count, m in owned.items()
+                    for _ in range(m)]
+            passes = [p for p, m in npasses.items() for _ in range(m)]
+            row.append(CostStats(
+                runs=runs,
+                mean_cost=statistics.fmean(cost),
+                std_cost=statistics.stdev(cost) if runs > 1 else 0.0,
+                min_cost=min(cost),
+                max_cost=max(cost),
+                mean_passes=statistics.fmean(passes),
+            ))
+        stats.append(row)
     return stats

@@ -20,7 +20,7 @@ KARATE = ng.karate()
 
 
 def _mean(g, cfg, runs=1000, seed=0):
-    return empirical_cost_stats(g, [cfg], runs, seed)[0].mean_cost
+    return empirical_cost_stats([(g, [cfg], runs, seed)])[0][0].mean_cost
 
 
 def test_criterion_1_exact_optima():

@@ -1,9 +1,11 @@
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from sharegoods.equilibria import (_dominating_owner_sets, _follower_claims,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
+from sharegoods.cli import main
 from sharegoods.game import SGG, SGG_AC, GameConfig
 from sharegoods.optimum import cover_masks, min_dominating_exact
 
@@ -403,32 +406,51 @@ class TestEmpiricalStats:
     def test_deterministic(self):
         g = ng.karate()
         cfg = GameConfig(SGG_AC, 1, xi=2)
-        a = empirical_cost_stats(g, [cfg], 50, 7)[0]
-        b = empirical_cost_stats(g, [cfg], 50, 7)[0]
+        a = empirical_cost_stats([(g, [cfg], 50, 7)])[0][0]
+        b = empirical_cost_stats([(g, [cfg], 50, 7)])[0][0]
         assert a == b
 
     def test_fields(self):
         g = ng.chain(20)
         cfg = GameConfig(SGG, 1)
-        stats = empirical_cost_stats(g, [cfg], 25, 0)[0]
+        stats = empirical_cost_stats([(g, [cfg], 25, 0)])[0][0]
         assert stats.runs == 25
         assert stats.min_cost <= stats.mean_cost <= stats.max_cost
         assert stats.std_cost >= 0
         assert 0 <= stats.mean_passes <= 3
 
     def test_single_run(self):
-        stats = empirical_cost_stats(ng.star(5), [GameConfig(SGG, 1)], 1, 0)[0]
+        stats = empirical_cost_stats(
+            [(ng.star(5), [GameConfig(SGG, 1)], 1, 0)])[0][0]
         assert stats.std_cost == 0.0
 
     def test_runs_guard(self):
         with pytest.raises(ValueError):
-            empirical_cost_stats(ng.star(5), [GameConfig(SGG, 1)], 0, 0)
+            empirical_cost_stats([(ng.star(5), [GameConfig(SGG, 1)], 0, 0)])
 
     def test_grid_shares_variant_and_k(self):
         for cfgs in ([GameConfig(SGG, 1), GameConfig(SGG_AC, 1, xi=2)],
                      [GameConfig(SGG_AC, 1, xi=2), GameConfig(SGG_AC, 2, xi=2)]):
             with pytest.raises(ValueError):
-                empirical_cost_stats(ng.star(5), cfgs, 2, 0)
+                empirical_cost_stats([(ng.star(5), cfgs, 2, 0)])
+
+    def test_rows_equal_single_rows(self, monkeypatch):
+        """One call for several rows gives each row's stats alone, and rows
+        of one (master_seed, runs) derive their seeds once."""
+        rows = [(ng.star(9), [GameConfig(SGG, 1)], 12, 3),
+                (ng.karate(), [GameConfig(SGG_AC, 1, xi=xi)
+                               for xi in (1, 2, 5)], 12, 3),
+                (ng.chain(11), [GameConfig(SGG_AC, 2, xi=2)], 5, 3),
+                (ng.karate(), [GameConfig(SGG, 3, b=3, p=2)], 12, 4)]
+        singles = [empirical_cost_stats([row])[0] for row in rows]
+        derived = []
+
+        def counted(master_seed, index):
+            derived.append((master_seed, index))
+            return derive_seed(master_seed, index)
+        monkeypatch.setattr(equilibria, "derive_seed", counted)
+        assert empirical_cost_stats(rows) == singles
+        assert len(derived) == 12 + 5 + 12
 
     def test_grid_equals_single_configs(self):
         """One best_response_grid call runs a whole row: every (run,
@@ -478,16 +500,16 @@ class TestEmpiricalStats:
                 if covered == grid:
                     r, covered = r + 1, set()
             assert (r, covered) == (runs, set())
-            results = best_response_grid(g, cfgs, seeds)
+            (results,) = best_response_grid([(g, cfgs, seeds)])
             assert len(results) == len(cfgs)
             for c, (cfg, (owned, passes)) in enumerate(zip(cfgs, results)):
-                assert owned == [len(game.owners(cfg, ref[c].profile))
-                                 for ref in refs], (trial, cfg)
-                assert passes == [ref[c].passes for ref in refs]
+                assert owned == Counter(len(game.owners(cfg, ref[c].profile))
+                                        for ref in refs), (trial, cfg)
+                assert passes == Counter(ref[c].passes for ref in refs)
                 for other, shared in zip(cfgs, results):
                     assert (shared is results[c]) == (other.xi == cfg.xi)
-            grid_stats = empirical_cost_stats(g, cfgs, runs, seed)
-            singles = [empirical_cost_stats(g, [cfg], runs, seed)[0]
+            (grid_stats,) = empirical_cost_stats([(g, cfgs, runs, seed)])
+            singles = [empirical_cost_stats([(g, [cfg], runs, seed)])[0][0]
                        for cfg in cfgs]
             assert grid_stats == singles, (trial, cfgs)
             seen.add((kind, k))
@@ -496,20 +518,41 @@ class TestEmpiricalStats:
 
 
 class TestForkedRow:
-    """best_response_grid splits its seeds into one chunk per CPU
-    (dynamics._cpus): the first runs in this process, each later one in a
-    forked child."""
+    """best_response_grid deals the seed blocks of all its rows through one
+    pipe to this process and to a forked child per further CPU
+    (dynamics._cpus), and adds up their tallies."""
 
     @staticmethod
     def assert_no_children():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def children_start(monkeypatch, in_child):
+        """Patch dynamics._grid_chunk so that every child block calls
+        in_child() first, and this process's blocks wait until a child has
+        started one: the children surely get blocks. Returns the fds of
+        the pipe that signals it."""
+        parent, grid_chunk = os.getpid(), dynamics._grid_chunk
+        r, w = os.pipe()
+
+        def patched(g, cfgs, seeds, per_xi):
+            if os.getpid() != parent:
+                os.write(w, b"x")
+                in_child()
+            else:              # nothing reads r, so it stays readable
+                assert select.select([r], [], [], 30)[0]
+            grid_chunk(g, cfgs, seeds, per_xi)
+
+        monkeypatch.setattr(dynamics, "_grid_chunk", patched)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+        return r, w
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_equals_serial(self, monkeypatch, cpus):
-        """The same per-xi lists as the serial row, for every run count up
-        to 7, fewer runs than chunks among them; configs of one xi still
-        share one pair of lists."""
+        """The same tallies as the serial rows, for every run count up to
+        7, fewer runs than blocks among them, with rows of one seed list
+        and of their own; configs of one xi still share one tally pair."""
         rows = [(ng.star(12), [GameConfig(SGG, 1),
                                GameConfig(SGG, 1, b=3, p=2)]),
                 (ng.chain(15), [GameConfig(SGG, 2)]),
@@ -517,80 +560,118 @@ class TestForkedRow:
                                for xi in (1, 2, 5, 10, 20)]
                  + [GameConfig(SGG_AC, 1, a=0.45)]),      # xi = 2 again
                 (ng.chain(15), [GameConfig(SGG_AC, 2, xi=2)])]
-        for g, cfgs in rows:
-            for runs in range(1, 8):
-                seeds = [derive_seed(9, r) for r in range(runs)]
-                monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
-                serial = best_response_grid(g, cfgs, seeds)
-                monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
-                got = best_response_grid(g, cfgs, iter(seeds))
-                assert got == serial, (g.n, cfgs, runs)
-                assert all(len(owned) == runs for owned, _ in got)
+        for runs in range(1, 8):
+            shared = [derive_seed(9, r) for r in range(runs)]
+            grid = [(g, cfgs, shared if i < 2 else
+                     [derive_seed(i, r) for r in range(runs + i)])
+                    for i, (g, cfgs) in enumerate(rows)]
+            monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
+            serial = [best_response_grid([row])[0] for row in grid]
+            monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
+            got = best_response_grid(grid)
+            assert got == serial, runs
+            for (_, cfgs, seeds), tallies in zip(grid, got):
                 for c, cfg in enumerate(cfgs):
-                    for other, shared in zip(cfgs, got):
-                        assert (shared is got[c]) == (other.xi == cfg.xi)
+                    assert [sum(t.values()) for t in tallies[c]] == \
+                        [len(seeds)] * 2
+                    for other, pair in zip(cfgs, tallies):
+                        assert (pair is tallies[c]) == (other.xi == cfg.xi)
         self.assert_no_children()
+
+    def test_forks_once_per_command(self, monkeypatch, tmp_path):
+        """A preset's six experiments share one child at 2 CPUs, and write
+        the bytes of the serial command."""
+        fork, forks = os.fork, []
+
+        def counted():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        outs = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
+            outs.append(tmp_path / f"t4_{cpus}.csv")
+            assert main(["preset", "table4_karate", "--runs", "20",
+                         "--out", str(outs[-1])]) == 0
+        assert len(forks) == 1
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        self.assert_no_children()
+
+    def test_too_many_tokens_run_in_process(self, monkeypatch):
+        """Rows with more blocks than the pipe takes tokens run in this
+        process, with the serial tallies."""
+        rows = [(ng.karate(), [GameConfig(SGG_AC, 1, xi=2)], range(r, 9))
+                for r in range(3)]
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
+        serial = best_response_grid(rows)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+        monkeypatch.setattr(dynamics, "_MAX_TOKENS", 20)
+        assert best_response_grid(rows) == serial
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_child_error(self, monkeypatch, cpus):
-        """A RuntimeError in a child's chunk reaches the caller with its
+        """A RuntimeError in a child's block reaches the caller with its
         message, and no child is left."""
-        seeds = list(range(6))
-        grid_chunk = dynamics._grid_chunk
+        def fail():
+            raise RuntimeError(f"failed in process {os.getpid()}")
 
-        def failing(g, cfgs, chunk):
-            if 3 in chunk:    # a child's chunk, the middle one at 3 CPUs
-                raise RuntimeError(f"failed in process {os.getpid()}")
-            return grid_chunk(g, cfgs, chunk)
-
-        monkeypatch.setattr(dynamics, "_grid_chunk", failing)
+        fds = self.children_start(monkeypatch, fail)
         monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
         with pytest.raises(RuntimeError, match=r"^failed in process \d+$"
                            ) as exc:
-            best_response_grid(ng.karate(), [GameConfig(SGG_AC, 1, xi=2)],
-                               seeds)
+            best_response_grid([(ng.karate(), [GameConfig(SGG_AC, 1, xi=2)],
+                                 range(6))])
         assert str(exc.value) != f"failed in process {os.getpid()}"
         self.assert_no_children()
+        for fd in fds:
+            os.close(fd)
 
     @pytest.mark.parametrize("how, status", [("exit", "3"), ("kill", "-9")])
     def test_child_death(self, monkeypatch, how, status):
         """A child that dies without reporting is a RuntimeError that names
         its exit status."""
-        def dying(g, cfgs, chunk):
-            if 1 in chunk:
-                if how == "exit":
-                    os._exit(3)
-                os.kill(os.getpid(), signal.SIGKILL)
-            return []
+        def die():
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(dynamics, "_grid_chunk", dying)
-        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+        fds = self.children_start(monkeypatch, die)
         with pytest.raises(RuntimeError,
                            match=f"exited with status {status}$"):
-            best_response_grid(ng.star(5), [GameConfig(SGG, 1)], [0, 1])
+            best_response_grid([(ng.star(5), [GameConfig(SGG, 1)], [0, 1])])
         self.assert_no_children()
+        for fd in fds:
+            os.close(fd)
 
     def test_parent_error_kills_children(self, monkeypatch):
-        """When this process's own chunk fails, it kills its children
+        """When one of this process's blocks fails, it kills its children
         rather than wait for them."""
-        grid_chunk = dynamics._grid_chunk
+        parent, grid_chunk = os.getpid(), dynamics._grid_chunk
 
-        def failing(g, cfgs, chunk):
-            if 0 in chunk:                # this process's chunk
+        def failing(g, cfgs, seeds, per_xi):
+            if os.getpid() == parent:
                 raise RuntimeError("parent failed")
             time.sleep(60)
-            return grid_chunk(g, cfgs, chunk)
+            grid_chunk(g, cfgs, seeds, per_xi)
 
         monkeypatch.setattr(dynamics, "_grid_chunk", failing)
         monkeypatch.setattr(dynamics, "_cpus", lambda: 3)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="^parent failed$"):
-            best_response_grid(ng.star(5), [GameConfig(SGG, 1)], range(6))
+            best_response_grid([(ng.star(5), [GameConfig(SGG, 1)],
+                                 range(6))])
         assert time.monotonic() - start < 30
         self.assert_no_children()
 
     def test_stdout_written_once(self):
-        """Text buffered in sys.stdout before a row, with stdout a pipe,
+        """Text buffered in sys.stdout before the rows, with stdout a pipe,
         is written once: children leave without flushing it or running
         atexit hooks."""
         script = (
@@ -599,13 +680,13 @@ class TestForkedRow:
             "from sharegoods.game import GameConfig, SGG_AC\n"
             "dynamics._cpus = lambda: 3\n"
             "atexit.register(print, 'atexit')\n"
-            "print('before the row')\n"
-            "dynamics.best_response_grid(\n"
-            "    netgraph.karate(), [GameConfig(SGG_AC, 1, xi=2)], range(7))\n"
-            "print('after the row')\n")
+            "print('before the rows')\n"
+            "dynamics.best_response_grid([(\n"
+            "    netgraph.karate(), [GameConfig(SGG_AC, 1, xi=2)], range(7))])\n"
+            "print('after the rows')\n")
         src = Path(dynamics.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "before the row\nafter the row\natexit\n"
+        assert proc.stdout == "before the rows\nafter the rows\natexit\n"

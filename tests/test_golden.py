@@ -1,5 +1,5 @@
 """Golden output: sha256 digests of CLI output at small run counts, and
-of `table3_synthetic` at the paper's 1000 runs.
+of the three presets at the paper's 1000 runs.
 
 The Monte-Carlo rows depend on the exact sequence of RNG calls in the
 dynamics, so a refactor that reorders or adds a draw changes these bytes
@@ -28,6 +28,15 @@ PRESET_DIGESTS = {
 # pins: 2,185 of its 3,000 SGG-AC runs split their xi group at least once.
 FULL_SIZE_DIGEST = \
     "504d66e3a0267fd90e4a4411384c05b77582cb49b5bd3542e445d33dd1439f1c"
+
+# The karate presets at `--runs 1000 --seed 0`, as the benchmark pins them:
+# commands of two and six experiments whose seed blocks are dealt together.
+FULL_SIZE_KARATE_DIGESTS = {
+    "table3_karate":
+        "b143786840aaf8166a8a3a4c12a37038bd99d146ea3c1ad04d3cd44f39b71d87",
+    "table4_karate":
+        "0c37c0f8a4e7e1eb435dd0bc7f48230ac7c5c9f08b3857dd6fde2b64ed73fbab",
+}
 
 # Karate, SGG-AC, k=1, xi=5: the repair turns optimum owner 5 into a
 # renter and promotes 16, so the profile pins the repair loop too.
@@ -104,6 +113,14 @@ def test_full_size_table3_synthetic(tmp_path):
     assert main(["preset", "table3_synthetic", "--runs", "1000", "--seed",
                  "0", "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == FULL_SIZE_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE_KARATE_DIGESTS))
+def test_full_size_karate(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main(["preset", name, "--runs", "1000", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == FULL_SIZE_KARATE_DIGESTS[name]
 
 
 def stabilized_profile(tmp_path, xi: int) -> bytes:
