@@ -21,23 +21,20 @@ decision differs across them; there the group splits in two, the xi
 values that rent and those that buy, and each part resumes from that
 node with its own copy of the state and of the generator. Each xi thus
 decides and draws exactly as it would alone. A row keeps, per xi, only a
-tally of its runs' owner counts and one of their passes;
-`best_response_dynamics` is the same loop for one config and one seed,
-and returns the whole result.
+tally of its runs by (owner count, passes); `best_response_dynamics` is
+the same loop for one config and one seed, and returns the whole result.
 
-`best_response_grid` runs every row of a command at once. Runs are
-independent and each re-seeds its generator, so it cuts each row's seeds
-into at most 16 blocks and writes one 4-byte token per block into a
-pipe, which it closes before it forks one child per further CPU the
-process may use (`os.sched_getaffinity`). Every process reads tokens
-until the pipe is empty and adds each block's runs to its own tallies; a
-child sends its tallies back through a pipe of its own with `marshal`,
-and the parent adds them. A tally does not depend on which process ran a
-block, so the results are the same on any number of CPUs and under any
-dealing. A child shares the parent's pages, the k-balls among them,
+`best_response_grid` runs every row of a command at once, on one path
+for any CPU count. It cuts the runs, row after row, into 96 blocks,
+writes one 1-byte token per block into a pipe and forks one child per
+further CPU the process may use (`os.sched_getaffinity`). Every process
+reads tokens until the pipe is empty and tallies its blocks' runs; the
+children send their tallies back with `marshal` and the parent adds
+them. Each run re-seeds its generator and a tally does not depend on
+which process ran a block, so the results are the same on any number of
+CPUs. A child shares the parent's pages, the k-balls among them,
 copy-on-write, and leaves through `os._exit`; its memory is outside the
 parent's `RUSAGE_SELF`, so outside the benchmark's `peak_rss_mb`.
-Without `os.fork` every block runs in the process.
 
 Every draw is written out over `rng.getrandbits`, as CPython's
 `random.Random` draws: randbelow(m) is `b = m.bit_length()`, then
@@ -197,51 +194,55 @@ def _cpus() -> int:
     return 1
 
 
-# A row's seeds are cut into at most this many blocks, each dealt as one
-# token. All tokens go into the pipe before any process reads it, so they
-# must fit in the smallest pipe Linux makes, one 4 KiB page.
-_BLOCKS = 16
-_MAX_TOKENS = 4096 // 4
+# A command's runs are cut into this many blocks, each dealt as a one-byte
+# token, so at most 256. All tokens go into the pipe before any process
+# reads it, in one write below PIPE_BUF: atomic, and it cannot block.
+_BLOCKS = 96
 
 
 def _grid_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int],
                 per_xi: dict) -> None:
-    """Run seeds serially, adding each run to per_xi[xi], a pair of
-    tallies {owner count: runs} and {passes: runs}, for each xi of cfgs."""
+    """Run seeds serially, adding each run to per_xi[xi], a tally
+    {(owner count, passes): runs}, for each xi of cfgs."""
     n = g.n
     for state, xis, case_counts in _trajectories(g, cfgs, seeds):
         # Every non-owner follows one owner under SGG-AC, so the owners
         # are the nodes that flw does not count.
-        count = state.s.count(1) if state.sgg else n - sum(state.flw)
-        passes = len(case_counts)
+        key = (state.s.count(1) if state.sgg else n - sum(state.flw),
+               len(case_counts))
         for xi in xis:
-            owned, npasses = per_xi[xi]
-            owned[count] = owned.get(count, 0) + 1
-            npasses[passes] = npasses.get(passes, 0) + 1
+            per_xi[xi][key] = per_xi[xi].get(key, 0) + 1
 
 
-def _tallies(rows) -> list[dict]:
-    """Empty tallies: one {xi: ({}, {})} per row."""
-    return [{cfg.xi: ({}, {}) for cfg in cfgs} for _, cfgs, _ in rows]
-
-
-def _deal(rows, blocks, tokens: int, tallies: list[dict]) -> list[dict]:
-    """Read tokens from the pipe's read end until it is empty, run each
-    token's block of seeds and add its runs to tallies."""
-    while token := os.read(tokens, 4):
-        r, lo, hi = blocks[int.from_bytes(token, "little")]
-        g, cfgs, seeds = rows[r]
-        _grid_chunk(g, cfgs, seeds[lo:hi], tallies[r])
+def _deal(rows, tokens: int) -> list[dict]:
+    """Read tokens from the pipe's read end until it is empty and run each
+    token's block of the rows' runs, taken row after row. Returns the
+    tallies of its runs, one {xi: tally} per row."""
+    tallies = [{cfg.xi: {} for cfg in cfgs} for _, cfgs, _ in rows]
+    total = sum(len(seeds) for _, _, seeds in rows)
+    while token := os.read(tokens, 1):
+        b = token[0]
+        lo, hi = total * b // _BLOCKS, total * (b + 1) // _BLOCKS
+        for (g, cfgs, seeds), per_xi in zip(rows, tallies):
+            if part := seeds[max(lo, 0):max(hi, 0)]:
+                _grid_chunk(g, cfgs, part, per_xi)
+            lo, hi = lo - len(seeds), hi - len(seeds)   # from the next row
     return tallies
 
 
-def _fork_worker(rows, blocks, tokens: int) -> tuple[int, BinaryIO]:
-    """Fork a child that runs `_deal` on fresh tallies and writes to a
-    pipe marshal.dumps of them, or of a RuntimeError's message. Returns
-    (pid, the pipe's read end). The child leaves through os._exit, so it
-    never returns into the caller, flushes stdio or runs atexit hooks."""
+def _fork_worker(rows, tokens: int) -> tuple[int, BinaryIO]:
+    """Fork a child that runs `_deal` and writes to a pipe marshal.dumps of
+    its tallies, or of a RuntimeError's message. Returns (pid, the pipe's
+    read end); if the fork fails, closes the pipe and raises its OSError.
+    The child leaves through os._exit, so it never returns into the caller,
+    flushes stdio or runs atexit hooks."""
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
     if pid:
         os.close(w)
         return pid, open(r, "rb")
@@ -249,7 +250,7 @@ def _fork_worker(rows, blocks, tokens: int) -> tuple[int, BinaryIO]:
     try:
         os.close(r)
         try:
-            out = _deal(rows, blocks, tokens, _tallies(rows))
+            out = _deal(rows, tokens)
         except RuntimeError as exc:
             out = str(exc)
         with open(w, "wb") as fh:
@@ -262,68 +263,63 @@ def _fork_worker(rows, blocks, tokens: int) -> tuple[int, BinaryIO]:
 def _add(tallies: list[dict], more: list[dict]) -> None:
     """Add the runs of each tally of more to the same tally of tallies."""
     for per_xi, extra in zip(tallies, more):
-        for xi, pair in extra.items():
-            for tally, counts in zip(per_xi[xi], pair):
-                for value, runs in counts.items():
-                    tally[value] = tally.get(value, 0) + runs
+        for xi, counts in extra.items():
+            tally = per_xi[xi]
+            for key, runs in counts.items():
+                tally[key] = tally.get(key, 0) + runs
 
 
-def best_response_grid(rows) -> list[list[tuple[dict, dict]]]:
+def best_response_grid(rows) -> list[list[dict]]:
     """Monte-Carlo rows: for each (g, cfgs, seeds) of rows, best-response
     dynamics for each cfg of cfgs, which must share variant and k, one run
-    per seed of the sequence seeds. Returns, per row and per config, two
-    tallies: {owner count: runs that ended with it} and {passes: runs};
-    configs of one xi share one pair. Each run draws its start once and
-    sweeps one trajectory per group of xi values that decide alike.
+    per seed of the sequence seeds. Returns, per row and per config, a
+    tally {(owner count, passes): runs that ended with them}; configs of
+    one xi share one tally. Each run draws its start once and sweeps one
+    trajectory per group of xi values that decide alike.
 
     The rows' k-balls are built first, so forked children inherit them.
-    Each row's seeds are cut into blocks, dealt through a pipe to this
-    process and a forked child per further CPU, and the tallies of all
-    processes are added, so the result is the serial one."""
-    blocks = []                         # (row, first seed, end) per token
-    for r, (g, cfgs, seeds) in enumerate(rows):
+    The runs of all rows, taken row after row, are cut into _BLOCKS blocks,
+    dealt through a pipe to this process and to a forked child per further
+    CPU, up to one per run, and the tallies of all processes are added, so
+    the result is the serial one. If a pipe or fork for a child fails, no
+    further child is forked and the processes already running take the
+    remaining blocks."""
+    for g, cfgs, _ in rows:
         g.closed_neighborhoods(cfgs[0].k)
-        parts = min(_BLOCKS, len(seeds))
-        blocks += [(r, len(seeds) * b // parts, len(seeds) * (b + 1) // parts)
-                   for b in range(parts)]
-    tallies = _tallies(rows)
-    workers = min(_cpus(), len(blocks))
-    if workers < 2 or len(blocks) > _MAX_TOKENS:
-        for r, lo, hi in blocks:
-            g, cfgs, seeds = rows[r]
-            _grid_chunk(g, cfgs, seeds[lo:hi], tallies[r])
-    else:
-        tokens, w = os.pipe()
-        os.write(w, b"".join(t.to_bytes(4, "little")
-                             for t in range(len(blocks))))
-        os.close(w)
-        children = []       # (pid, read end) of each child not yet reaped
-        try:
-            for _ in range(workers - 1):
-                children.append(_fork_worker(rows, blocks, tokens))
-            _deal(rows, blocks, tokens, tallies)
-            while children:
-                pid, fh = children[0]
-                with fh:
-                    data = fh.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[0]
-                if status:
-                    raise RuntimeError(
-                        f"a dynamics worker exited with status "
-                        f"{os.waitstatus_to_exitcode(status)}")
-                out = marshal.loads(data)
-                if isinstance(out, str):
-                    raise RuntimeError(out)
-                _add(tallies, out)
-        except BaseException:
-            for pid, fh in children:
-                fh.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            raise
-        finally:
-            os.close(tokens)
+    workers = min(_cpus(), sum(len(seeds) for _, _, seeds in rows), _BLOCKS)
+    tokens, w = os.pipe()
+    os.write(w, bytes(range(_BLOCKS)))
+    os.close(w)
+    children = []           # (pid, read end) of each child not yet reaped
+    try:
+        for _ in range(workers - 1):
+            try:
+                children.append(_fork_worker(rows, tokens))
+            except OSError:
+                break
+        tallies = _deal(rows, tokens)
+        while children:
+            pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                raise RuntimeError(
+                    f"a dynamics worker exited with status "
+                    f"{os.waitstatus_to_exitcode(status)}")
+            out = marshal.loads(data)
+            if isinstance(out, str):
+                raise RuntimeError(out)
+            _add(tallies, out)
+    except BaseException:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(tokens)
     return [[per_xi[cfg.xi] for cfg in cfgs]
             for (_, cfgs, _), per_xi in zip(rows, tallies)]
 

@@ -243,10 +243,10 @@ def empirical_cost_stats(rows) -> list[list[CostStats]]:
     stats = []
     for (_, cfgs, runs, _), tallies in zip(rows, best_response_grid(grid)):
         row = []
-        for cfg, (owned, npasses) in zip(cfgs, tallies):
-            cost = [cfg.p * count for count, m in owned.items()
-                    for _ in range(m)]
-            passes = [p for p, m in npasses.items() for _ in range(m)]
+        for cfg, tally in zip(cfgs, tallies):
+            ends = [key for key, m in tally.items() for _ in range(m)]
+            cost = [cfg.p * count for count, _ in ends]
+            passes = [p for _, p in ends]
             row.append(CostStats(
                 runs=runs,
                 mean_cost=statistics.fmean(cost),

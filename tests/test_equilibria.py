@@ -1,3 +1,5 @@
+import errno
+import functools
 import os
 import random
 import select
@@ -502,10 +504,10 @@ class TestEmpiricalStats:
             assert (r, covered) == (runs, set())
             (results,) = best_response_grid([(g, cfgs, seeds)])
             assert len(results) == len(cfgs)
-            for c, (cfg, (owned, passes)) in enumerate(zip(cfgs, results)):
-                assert owned == Counter(len(game.owners(cfg, ref[c].profile))
-                                        for ref in refs), (trial, cfg)
-                assert passes == Counter(ref[c].passes for ref in refs)
+            for c, (cfg, tally) in enumerate(zip(cfgs, results)):
+                assert tally == Counter(
+                    (len(game.owners(cfg, ref[c].profile)), ref[c].passes)
+                    for ref in refs), (trial, cfg)
                 for other, shared in zip(cfgs, results):
                     assert (shared is results[c]) == (other.xi == cfg.xi)
             (grid_stats,) = empirical_cost_stats([(g, cfgs, runs, seed)])
@@ -518,9 +520,10 @@ class TestEmpiricalStats:
 
 
 class TestForkedRow:
-    """best_response_grid deals the seed blocks of all its rows through one
-    pipe to this process and to a forked child per further CPU
-    (dynamics._cpus), and adds up their tallies."""
+    """best_response_grid cuts the runs of all its rows into
+    dynamics._BLOCKS blocks, deals them through one pipe to this process
+    and to a forked child per further CPU (dynamics._cpus), and adds up
+    their tallies."""
 
     @staticmethod
     def assert_no_children():
@@ -548,11 +551,20 @@ class TestForkedRow:
         monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
         return r, w
 
+    @staticmethod
+    def open_fds():
+        """This process's open fds, or None where /proc/self/fd is
+        missing."""
+        if os.path.isdir("/proc/self/fd"):
+            return set(os.listdir("/proc/self/fd"))
+        return None
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_equals_serial(self, monkeypatch, cpus):
-        """The same tallies as the serial rows, for every run count up to
-        7, fewer runs than blocks among them, with rows of one seed list
-        and of their own; configs of one xi still share one tally pair."""
+        """The tallies of the reference runs, {(owner count, passes): runs},
+        and of the serial rows, for every run count up to 7, fewer runs
+        than blocks among them, with rows of one seed list and of their
+        own; configs of one xi still share one tally."""
         rows = [(ng.star(12), [GameConfig(SGG, 1),
                                GameConfig(SGG, 1, b=3, p=2)]),
                 (ng.chain(15), [GameConfig(SGG, 2)]),
@@ -560,6 +572,14 @@ class TestForkedRow:
                                for xi in (1, 2, 5, 10, 20)]
                  + [GameConfig(SGG_AC, 1, a=0.45)]),      # xi = 2 again
                 (ng.chain(15), [GameConfig(SGG_AC, 2, xi=2)])]
+        @functools.cache
+        def end(i, c, seed):
+            """(owner count, passes) of the reference run of row i's config
+            c on seed."""
+            cfg = rows[i][1][c]
+            ref = reference_dynamics(rows[i][0], cfg, seed)
+            return len(game.owners(cfg, ref.profile)), ref.passes
+
         for runs in range(1, 8):
             shared = [derive_seed(9, r) for r in range(runs)]
             grid = [(g, cfgs, shared if i < 2 else
@@ -570,12 +590,12 @@ class TestForkedRow:
             monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
             got = best_response_grid(grid)
             assert got == serial, runs
-            for (_, cfgs, seeds), tallies in zip(grid, got):
+            for i, ((_, cfgs, seeds), tallies) in enumerate(zip(grid, got)):
                 for c, cfg in enumerate(cfgs):
-                    assert [sum(t.values()) for t in tallies[c]] == \
-                        [len(seeds)] * 2
-                    for other, pair in zip(cfgs, tallies):
-                        assert (pair is tallies[c]) == (other.xi == cfg.xi)
+                    assert tallies[c] == Counter(end(i, c, seed)
+                                                 for seed in seeds)
+                    for other, tally in zip(cfgs, tallies):
+                        assert (tally is tallies[c]) == (other.xi == cfg.xi)
         self.assert_no_children()
 
     def test_forks_once_per_command(self, monkeypatch, tmp_path):
@@ -599,21 +619,92 @@ class TestForkedRow:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         self.assert_no_children()
 
-    def test_too_many_tokens_run_in_process(self, monkeypatch):
-        """Rows with more blocks than the pipe takes tokens run in this
-        process, with the serial tallies."""
-        rows = [(ng.karate(), [GameConfig(SGG_AC, 1, xi=2)], range(r, 9))
-                for r in range(3)]
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_blocks_span_rows(self, monkeypatch, cpus):
+        """With more rows than blocks, a block spans rows: 120 rows of 1-3
+        runs, some sharing one seed list, give each row's tallies alone,
+        and so does a call with fewer runs than blocks. Each call forks
+        once per further CPU."""
+        rng = random.Random(5)
+        shared = [derive_seed(1, r) for r in range(3)]
+        kinds = [(ng.star(6), [GameConfig(SGG, 1)]),
+                 (ng.chain(7), [GameConfig(SGG_AC, 1, xi=1),
+                                GameConfig(SGG_AC, 1, xi=3)]),
+                 (ng.karate(), [GameConfig(SGG_AC, 2, xi=2)])]
+        rows = []
+        for i in range(120):
+            g, cfgs = kinds[rng.randrange(3)]
+            runs = rng.randint(1, 3)
+            rows.append((g, cfgs, shared if i % 5 == 0 else
+                         [derive_seed(i, r) for r in range(runs)]))
+        assert len(rows) > dynamics._BLOCKS
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
+        singles = [best_response_grid([row])[0] for row in rows]
+        fork, forks = os.fork, []
+
+        def counted():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
+        assert best_response_grid(rows) == singles
+        assert len(forks) == cpus - 1
+        assert sum(len(seeds) for *_, seeds in rows[:7]) < dynamics._BLOCKS
+        assert best_response_grid(rows[:7]) == singles[:7]
+        assert len(forks) == 2 * (cpus - 1)
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("call, cpus, fails", [
+        ("fork", 2, 1), ("fork", 3, 1), ("fork", 3, 2),
+        ("pipe", 3, 2), ("pipe", 3, 3)])
+    def test_fork_failure(self, monkeypatch, call, cpus, fails):
+        """An os.fork or a child's os.pipe that fails (on call number
+        fails; os.pipe's first call is the token pipe) stops the forking:
+        the processes already running deal the remaining blocks, with the
+        serial tallies, and no fd or child is left."""
+        rows = [(ng.karate(), [GameConfig(SGG_AC, 1, xi=xi)
+                               for xi in (1, 2, 5)], range(9)),
+                (ng.star(7), [GameConfig(SGG, 1)], range(4))]
         monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
         serial = best_response_grid(rows)
+        real, calls = getattr(os, call), []
 
-        def no_fork():
-            raise AssertionError("forked")
+        def failing():
+            calls.append(call)
+            if len(calls) == fails:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
-        monkeypatch.setattr(dynamics, "_MAX_TOKENS", 20)
+        monkeypatch.setattr(os, call, failing)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
+        fds = self.open_fds()
         assert best_response_grid(rows) == serial
+        assert len(calls) == fails
+        self.assert_no_children()
+        assert self.open_fds() == fds
+
+    def test_preset_when_fork_fails(self, monkeypatch, tmp_path):
+        """A preset at 2 CPUs whose every fork fails exits 0 with the bytes
+        of one CPU, and leaves no fd or child."""
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def preset(out):
+            return main(["preset", "table4_karate", "--runs", "20",
+                         "--out", str(out)])
+
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
+        assert preset(tmp_path / "one_cpu.csv") == 0
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = self.open_fds()
+        assert preset(tmp_path / "no_fork.csv") == 0
+        assert self.open_fds() == fds
+        assert (tmp_path / "one_cpu.csv").read_bytes() == \
+            (tmp_path / "no_fork.csv").read_bytes()
+        self.assert_no_children()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_child_error(self, monkeypatch, cpus):
