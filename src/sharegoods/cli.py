@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,42 +86,40 @@ def _side_path(config: ExperimentConfig, xi, suffix: str) -> Path:
     return out.parent / (safe + suffix)
 
 
-@functools.lru_cache(maxsize=1)
-def _optimum(g: Graph, k: int, p: float):
-    """The exact optimum, computed once for the consecutive rows that share
-    a (graph, k, p): one graph's rows, and the SGG and SGG-AC experiments
-    on one graph, come one after another. A Graph hashes by identity and
-    never changes, and the cache holds it, so its key cannot be reused."""
-    return min_dominating_exact(g, k, p=p)
-
-
 def compute_row(configs: list[ExperimentConfig]) -> list[dict]:
     """The CSV rows of a command's experiments, one per (experiment, xi) in
     order. The dynamics of every experiment run first, in one
     `empirical_cost_stats` call, so that their runs are dealt over the CPUs
     together; each run is drawn once for its experiment's whole xi grid and
-    swept once per group of xi values that decide alike."""
+    swept once per group of xi values that decide alike. The exact optimum
+    is computed once per (graph, k, p) of the command."""
     dynamic = [c for c in configs if "dynamics" in c.analyses]
     stats = iter(empirical_cost_stats(
         [(c.graph, c.cfgs, c.runs, c.master_seed) for c in dynamic])
         if dynamic else ())
+    optima = {}
     rows = []
     for config in configs:
         no_stats = [None] * len(config.cfgs)
         rows += _experiment_rows(config, next(stats) if "dynamics" in
-                                 config.analyses else no_stats)
+                                 config.analyses else no_stats, optima)
     return rows
 
 
-def _experiment_rows(config: ExperimentConfig, stats: list) -> list[dict]:
+def _experiment_rows(config: ExperimentConfig, stats: list,
+                     optima: dict) -> list[dict]:
     """The CSV rows of one experiment, given its dynamics statistics (None
-    per config without them)."""
+    per config without them) and the optima already computed, by (graph,
+    k, p); a Graph hashes by identity and never changes."""
     g = config.graph
     cfgs = config.cfgs
     analyses = config.analyses
     opt = None
     if {"optimum", "exact_efficiency", "stabilize"} & set(analyses):
-        opt = _optimum(g, config.k, config.p)
+        key = (g, config.k, config.p)
+        if key not in optima:
+            optima[key] = min_dominating_exact(g, config.k, p=config.p)
+        opt = optima[key]
     reports = [None] * len(cfgs)
     if "exact_efficiency" in analyses:
         reports = exact_efficiency(g, cfgs, opt)

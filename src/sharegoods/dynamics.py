@@ -341,13 +341,16 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
     owner's follower region is connected) and one `game.State` over it.
     Every non-owner rents from an owner in its ball and has no followers,
     so the check-only `State.sweep` names a poor owner (another owner in
-    range, fewer than xi followers), the lowest-id one. It rents from the
-    first owner of its ball, its followers from the first owners of theirs,
-    and each one left stranded, in id order, buys and takes the stranded
-    nodes of its ball. The next check resumes after the poor owner: a
-    repair leaves every lower-id node on a best response, since the owners
-    in the poor owner's ball keep their followers and a promoted node has
-    no owner in range.
+    range, fewer than xi followers), the lowest-id one. The repair is
+    three `State.sweep` calls with a getrandbits that returns 0, so each
+    move takes its first best response in ball order, a rent the lowest-id
+    owner in range: the poor owner rents; its former followers with an
+    owner still in range rent, so none of them takes a new owner; then the
+    stranded ones, in id order, each buy or rent from one that has just
+    bought. The next check resumes after the poor owner: a repair leaves
+    every lower-id node on a best response, since the owners in the poor
+    owner's ball keep their followers and a promoted node has no owner in
+    range.
     """
     if cfg.variant != SGG_AC:
         raise game.VariantError("stabilize applies only to SGG-AC")
@@ -369,34 +372,16 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
                 dq.append(w)
 
     state = game.State(g, cfg, s)
-    nbhd, flw, owners_in = state.nbhd, state.flw, state.owners_in
+    moves = (lambda bits: 0, [0, 0, 0, 0])
     poor = -1
     for _ in range(len(set(opt_owners)) + 1):
         poor = state.sweep(range(poor + 1, g.n))
         if poor < 0:
             break
-        # poor rents; its ball loses an owner and holds all its followers.
-        ball = nbhd[poor]
-        target = next(o for o in ball if o != poor and s[o] == o)
-        s[poor] = target
-        flw[target] += 1
-        flw[poor] = 0
-        for f in ball:
-            owners_in[f] -= 1
-            if s[f] == poor:
-                for o in nbhd[f]:
-                    if s[o] == o:
-                        s[f] = o
-                        flw[o] += 1
-                        break
-        for leader in ball:
-            if s[leader] == poor:          # still stranded: it buys
-                s[leader] = leader
-                for j in nbhd[leader]:
-                    owners_in[j] += 1
-                    if s[j] == poor:
-                        s[j] = leader
-                        flw[leader] += 1
+        state.sweep([poor], *moves)
+        followers = [f for f in state.nbhd[poor] if s[f] == poor]
+        state.sweep([f for f in followers if state.owners_in[f]], *moves)
+        state.sweep(followers, *moves)    # the stranded ones
     else:
         raise RuntimeError("stabilize repair loop failed to terminate")
 

@@ -13,7 +13,7 @@ from . import optimum
 # benchmarks/tracing.py wraps this module's bindings of them, so the
 # imports stay.
 from .dynamics import best_response_dynamics, best_response_grid, derive_seed
-from .game import GameConfig
+from .game import GameConfig, check_node
 from .netgraph import Graph
 from .optimum import (OptResult, _disjoint_cover_bound, _members,
                       cover_masks, min_dominating_exact)
@@ -178,7 +178,7 @@ def sggac_witness_profile(g: Graph, k: int, xi: int,
     equilibrium, or None if none exists. Each follower claimed by
     _follower_claims follows its claimant; every other non-owner follows
     its lowest-id owner in range, and there must be one."""
-    owners = sum(1 << o for o in set(owner_set))
+    owners = sum(1 << check_node(g, o) for o in set(owner_set))
     cov = cover_masks(g, k)
     holder = _follower_claims(cov, owners, xi)
     if holder is None:

@@ -154,7 +154,9 @@ class State:
         over getrandbits (b = m.bit_length(), redraw b bits while r >= m)
         and takes the r-th of them in ball order; a buy, its lone best
         response, draws `while getrandbits(1): pass`. So the stream and the
-        pick are rng.choice's. SGG moves (to 1 - s_i) draw nothing.
+        pick are rng.choice's, and a getrandbits that returns 0 takes the
+        first best response in ball order. SGG moves (to 1 - s_i) draw
+        nothing.
 
         SGG: free riding (b) beats buying (b - p) exactly when another owner
         is within k hops, and buying beats no access (0). SGG-AC: renting
@@ -231,6 +233,13 @@ def is_nash(g: Graph, cfg: GameConfig, s: Profile) -> bool:
     return State(g, cfg, s).is_nash()
 
 
+def check_node(g: Graph, i: int) -> int:
+    """i, if it is a node id of g; a ValueError naming it otherwise."""
+    if not 0 <= i < g.n:
+        raise ValueError(f"node id {i} is not in 0..{g.n - 1}")
+    return i
+
+
 def is_distance_k_dominating(g: Graph, k: int,
                              owner_ids: Iterable[int]) -> bool:
     """Every node within k hops of one of owner_ids, any iterable (no
@@ -239,7 +248,7 @@ def is_distance_k_dominating(g: Graph, k: int,
     nbhd = g.closed_neighborhoods(k)
     covered = bytearray(g.n)
     for o in owner_ids:
-        for j in nbhd[o]:
+        for j in nbhd[check_node(g, o)]:
             covered[j] = 1
     return all(covered)
 

@@ -80,7 +80,6 @@ class TestRunExperiment:
             return min_dominating_exact(g, k, p=p)
         monkeypatch.setattr(cli, "min_dominating_exact", counted)
         monkeypatch.setattr(equilibria, "min_dominating_exact", counted)
-        cli._optimum.cache_clear()
         config = ExperimentConfig("chain(12)", ng.chain(12), SGG_AC, 1,
                                   xi_values=(1, 2, 5),
                                   analyses=("optimum", "exact_efficiency"),

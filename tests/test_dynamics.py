@@ -138,6 +138,11 @@ class TestStabilize:
         with pytest.raises(ValueError):
             stabilize(g, cfg, {0})
 
+    @pytest.mark.parametrize("owners", [{-2}, {5}, {0, 1, 2, 3}])
+    def test_rejects_ids_outside_graph(self, owners):
+        with pytest.raises(ValueError, match="is not in 0..2"):
+            stabilize(ng.chain(3), GameConfig(SGG_AC, 1, xi=2), owners)
+
     def test_cost_bound_random(self):
         from sharegoods.optimum import min_dominating_exact
         rng = random.Random(21)
@@ -176,7 +181,7 @@ class TestStabilize:
         its own owner and pending sets, from the optimum, the greedy set,
         every node and random supersets of the greedy set; and the same
         error from the greedy set less one owner when that no longer
-        dominates."""
+        dominates. Also from every node of 200- and 400-node graphs."""
         from sharegoods.optimum import min_dominating_exact, \
             min_dominating_greedy
 
@@ -205,6 +210,14 @@ class TestStabilize:
                 assert outcome(stabilize, g, cfg, owners) == \
                     outcome(reference_stabilize, g, cfg, owners), \
                     (g.n, g.edges, cfg, sorted(owners))
+        # Long repair chains: every node of 200 or 400 starts as an owner,
+        # at average degree about 6.
+        for n in (200, 400):
+            g = random_graph(rng, n, 6 / (n - 1))
+            for xi in (1, 3, 10):
+                cfg = GameConfig(SGG_AC, 1, xi=xi)
+                assert outcome(stabilize, g, cfg, range(n)) == \
+                    outcome(reference_stabilize, g, cfg, range(n)), (n, cfg)
 
 
 def test_choice_is_randbelow_index():

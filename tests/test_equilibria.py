@@ -97,6 +97,11 @@ class TestSggacFeasibility:
         g = ng.Graph(2 * m + 1, list(zip(seq, seq[1:])))
         assert sggac_owner_set_feasible(g, 2, 1, set(range(m)))
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_witness_rejects_ids_outside_graph(self, bad):
+        with pytest.raises(ValueError, match=f"node id {bad} is not in 0..2"):
+            sggac_witness_profile(ng.chain(3), 1, 2, {1, bad})
+
     def test_witness_is_nash(self):
         rng = random.Random(23)
         checked = 0

@@ -452,6 +452,14 @@ class TestGroupSweep:
         assert resumed >= 50
 
 
+@pytest.mark.parametrize("bad", [-1, -3, 3, 5])
+def test_dominating_rejects_ids_outside_graph(bad):
+    """An id outside 0..n-1 is an error: a negative one would index the
+    balls from the end, and [1, -2] would pass as dominating chain(3)."""
+    with pytest.raises(ValueError, match=f"node id {bad} is not in 0..2"):
+        game.is_distance_k_dominating(ng.chain(3), 1, [1, bad])
+
+
 class TestKIndependentDominating:
     def test_figure1_sets(self, figure1_graph):
         assert is_k_independent_dominating(figure1_graph, 1, {2})
