@@ -78,7 +78,7 @@ def _dominating_owner_sets(cov: list[int], xi: int | None = None,
         if objective == "largest" and _largest_bound(
                 cov, i, chosen, count, unc, undominated, xi, ok) <= best or (
                 objective == "smallest" and count + _disjoint_cover_bound(
-                    cov, undominated, (1 << i) - 1 & ~chosen) >= best):
+                    cov, undominated, (1 << i) - 1 & ~chosen)[0] >= best):
             continue
         if i == n:
             masks.append(chosen)

@@ -15,6 +15,7 @@ the access cost a to owner j.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,14 +64,16 @@ class GameConfig:
         if (self.a is None) == (self.xi is None):
             raise ValueError("SGG-AC needs exactly one of a and xi")
         if self.a is None:
-            if self.xi < 1:
-                raise ValueError("xi must be >= 1")
+            if not 1 <= self.xi <= sys.float_info.max:
+                raise ValueError("xi must be between 1 and the largest float")
             # Guarantees ceil(p/a) - 1 == xi and non-integral p/a.
             self.a = self.p / (self.xi + 0.5)
-        else:
-            if not 0 < self.a < self.p:
-                raise ValueError("access cost a must satisfy 0 < a < p")
+        if not 0 < self.a < self.p:
+            raise ValueError(f"access cost a = {self.a!r} breaks 0 < a < p")
+        if self.xi is None:
             ratio = self.p / self.a
+            if ratio == math.inf:
+                raise ValueError("access cost a is too small: p/a overflows")
             if abs(ratio - round(ratio)) < 1e-9:
                 raise ValueError("p/a must not be an integer")
             self.xi = math.ceil(ratio) - 1

@@ -10,6 +10,7 @@ nodes excluded on the current branch) are pairwise disjoint, scarcest
 first: each packed node needs a distinct new owner. It is never larger
 than the optimum below the search node, so it prunes nothing that holds a
 strictly better set, and the owners found are those of the plain search.
+Its one walk over the uncovered nodes also names the branching node.
 """
 
 from __future__ import annotations
@@ -79,31 +80,36 @@ def min_dominating_greedy(g: Graph, k: int) -> set[int]:
 
 
 def _disjoint_cover_bound(cov: list[int], uncovered: int,
-                          forbidden: int) -> int:
+                          forbidden: int) -> tuple[int, int]:
     """Lower bound on the number of nodes outside `forbidden` whose balls
-    `cov` cover `uncovered`, or len(cov) + 1 if no such set exists.
+    `cov` cover `uncovered`, or len(cov) + 1 if no such set exists, and the
+    available coverers (ball minus `forbidden`) of the lowest-id uncovered
+    node that has the most of them, the B&B's branching node.
 
     Uncovered nodes whose available coverers are pairwise disjoint each need
     their own coverer; they are packed greedily, fewest coverers first, ties
     by the coverer mask.
     """
     avail = []
+    pick = pick_deg = 0
     m = uncovered
     while m:
         v = (m & -m).bit_length() - 1
         m &= m - 1
         a = cov[v] & ~forbidden
         if not a:
-            return len(cov) + 1
-        avail.append((a.bit_count(), a))
+            return len(cov) + 1, 0
+        deg = a.bit_count()
+        if deg > pick_deg:
+            pick, pick_deg = a, deg
+        avail.append((deg, a))
     avail.sort()
-    count = 0
-    used = 0
+    count = used = 0
     for _, a in avail:
         if not a & used:
             used |= a
             count += 1
-    return count
+    return count, pick
 
 
 def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
@@ -140,37 +146,26 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
                 break
             if uncovered == 0:
                 if size < best_size:
-                    best_size = size
-                    incumbent = chosen
+                    best_size, incumbent = size, chosen
                 continue
-            if size + _disjoint_cover_bound(cov, uncovered,
-                                            forbidden) >= best_size:
+            bound, pick = _disjoint_cover_bound(cov, uncovered, forbidden)
+            if size + bound >= best_size:
                 continue
-            # Branch on the uncovered node with the most available coverers.
-            pick, pick_deg = -1, -1
-            m = uncovered
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                deg = (cov[v] & ~forbidden).bit_count()
-                if deg > pick_deg:
-                    pick, pick_deg = v, deg
+            # Branch on the bound's pick, best gain first. Each child
+            # excludes the candidates before it, and is pushed last first.
             candidates = []
-            m = cov[pick] & ~forbidden
+            m = pick
             while m:
                 c = (m & -m).bit_length() - 1
                 m &= m - 1
                 candidates.append(c)
-            # Best gain first; each later candidate excludes the earlier
-            # ones. Pushed in reverse, so the first is searched first.
             candidates.sort(key=lambda c: (-(cov[c] & uncovered).bit_count(),
                                            c))
-            children = []
-            for c in candidates:
-                children.append((size + 1, chosen | 1 << c,
-                                 uncovered & ~cov[c], forbidden))
-                forbidden |= 1 << c
-            stack.extend(reversed(children))
+            forbidden |= pick
+            for c in reversed(candidates):
+                forbidden ^= 1 << c
+                stack.append((size + 1, chosen | 1 << c,
+                              uncovered & ~cov[c], forbidden))
         owners |= incumbent
     owner_set = set(_members(owners))
     return OptResult(owners=owner_set, cost=p * len(owner_set),

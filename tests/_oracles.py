@@ -25,7 +25,7 @@ from collections import deque
 from sharegoods import game
 from sharegoods.dynamics import DynamicsResult
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
-from sharegoods.netgraph import Graph, ParseError, connected_components
+from sharegoods.netgraph import Graph, ParseError
 from sharegoods.optimum import OptResult
 
 # Absolute tolerance for money comparisons. Because p/a is never an integer,
@@ -321,9 +321,30 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 # The exact branch and bound with its earlier lower bound, a greedy packing
 # of uncovered nodes pairwise more than 2k apart, kept as the reference whose
-# owner sets the current bound must reproduce. Its masks and greedy seed come
-# from `ball_masks` and `scan_greedy_dominating`, the tests' own equivalents
-# of `optimum.cover_masks` and `optimum.min_dominating_greedy`.
+# owner sets the current bound must reproduce. Its masks, greedy seed and
+# components come from `ball_masks`, `scan_greedy_dominating` and
+# `component_masks`, the tests' own equivalents of `optimum.cover_masks`,
+# `optimum.min_dominating_greedy` and `netgraph.connected_components`.
+
+def component_masks(g: Graph) -> list[int]:
+    """The connected components as bitmasks, ordered by smallest member,
+    joined by union-find over the edge list (no BFS)."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    comps: dict[int, int] = {}
+    for v in range(g.n):
+        r = find(v)
+        comps[r] = comps.get(r, 0) | 1 << v
+    return list(comps.values())
+
 
 class _ReferenceBudgetExceeded(Exception):
     pass
@@ -389,8 +410,7 @@ def reference_min_dominating_exact(g: Graph, k: int, p: float = 1.0,
 
     owners: set[int] = set()
     proven = True
-    for comp in connected_components(g):
-        comp_mask = sum(1 << v for v in comp)
+    for comp_mask in component_masks(g):
         incumbent = {v for v in greedy if (comp_mask >> v) & 1}
         best_size = len(incumbent)
         if proven:

@@ -410,6 +410,27 @@ class TestBadInput:
         assert "Traceback" not in err
         assert err.count("error:") == err.count("\n") == (code == 2)
 
+    def test_float_overflow_and_underflow(self, tmp_path, capsys):
+        """Formerly an OverflowError traceback (the first two) or a CSV
+        row with a = 0 or a = p (the last two)."""
+        cfg = tmp_path / "exp.cfg"
+        for keys, message in [
+                ("a = 1e-320", "access cost a is too small: p/a overflows"),
+                (f"xi = {'9' * 321}",
+                 "xi must be between 1 and the largest float"),
+                ("p = 5e-324\nb = 1\nxi = 3",
+                 "access cost a = 0.0 breaks 0 < a < p"),
+                ("p = 5e-324\nb = 1\nxi = 1",
+                 "access cost a = 5e-324 breaks 0 < a < p")]:
+            cfg.write_text("family = star\nn = 6\nruns = 2\n"
+                           f"variant = SGG-AC\n{keys}\n")
+            code = main(["run", str(cfg), "--out", str(tmp_path / "t.csv")])
+            err = capsys.readouterr().err
+            assert code == 2, keys
+            assert err.startswith(f"error: {message}") and \
+                err.count("\n") == 1, keys
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--runs", "--seed"])
     @pytest.mark.parametrize("value", ["0", "-1", "x", "1_0"])
     def test_preset_flags(self, flag, value, tmp_path, capsys):

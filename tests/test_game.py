@@ -45,6 +45,20 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="^price p must be positive"):
             game.check_k_p(1, math.inf)
 
+    def test_a_so_small_that_p_over_a_overflows(self):
+        with pytest.raises(ValueError, match="p/a overflows"):
+            GameConfig(SGG_AC, 1, b=2, p=1, a=1e-320)
+
+    def test_xi_beyond_the_largest_float(self):
+        with pytest.raises(ValueError, match="^xi must be between 1 and"):
+            GameConfig(SGG_AC, 1, b=2, p=1, xi=10 ** 320)
+
+    def test_derived_a_outside_zero_to_p(self):
+        # 5e-324/3.5 rounds to 0 and 5e-324/1.5 back to 5e-324.
+        for xi in (3, 1):
+            with pytest.raises(ValueError, match="breaks 0 < a < p"):
+                GameConfig(SGG_AC, 1, b=1, p=5e-324, xi=xi)
+
 
 class TestFollowers:
     """Hand-counted follower rows for `State.flw`."""

@@ -3,8 +3,8 @@ import tracemalloc
 
 import pytest
 
-from _oracles import (ball_masks, disjoint_union, random_graph,
-                      reference_load_edge_list)
+from _oracles import (ball_masks, component_masks, disjoint_union,
+                      random_graph, reference_load_edge_list)
 from sharegoods import netgraph as ng
 from sharegoods.netgraph import (ConfigError, FamilySpec, Graph, ParseError,
                                  connected_components, load_edge_list)
@@ -251,6 +251,16 @@ class TestComponents:
     def test_two_triangles(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert connected_components(g) == [[0, 1, 2], [3, 4, 5]]
+
+    def test_matches_union_find_oracle(self):
+        rng = random.Random(9)
+        for trial in range(60):
+            g = random_graph(rng, rng.randint(0, 30), rng.random() * 0.15)
+            if trial % 2:
+                g = disjoint_union(g, random_graph(rng, rng.randint(1, 6), 0.5),
+                                   isolated=rng.randint(0, 3))
+            masks = [sum(1 << v for v in c) for c in connected_components(g)]
+            assert masks == component_masks(g), trial
 
 
 def test_graph_invariants():

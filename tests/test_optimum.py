@@ -164,19 +164,33 @@ class TestLowerBound:
                     sizes = [s.bit_count() for s in range(1 << n)
                              if not s & forbidden
                              and covered[s] & uncovered == uncovered]
-                    bound = _disjoint_cover_bound(cov, uncovered, forbidden)
+                    bound, pick = _disjoint_cover_bound(cov, uncovered,
+                                                        forbidden)
                     if sizes:
                         assert bound <= min(sizes)
                     else:
-                        assert bound == n + 1
+                        assert (bound, pick) == (n + 1, 0)
+                        continue
+                    # The branching node: the lowest-id uncovered node with
+                    # the most available coverers.
+                    avail = [cov[v] & ~forbidden for v in range(n)
+                             if uncovered >> v & 1]
+                    degs = [a.bit_count() for a in avail]
+                    want = avail[degs.index(max(degs))] if avail else 0
+                    assert pick == want
 
     def test_proves_sparse_er_within_small_budget(self, monkeypatch):
-        # The earlier 2k-ball packing bound ran past these budgets.
-        for g, budget, expected in [(ng.er_random(60, 0.1, 2), 10_000, 12),
-                                    (ng.er_random(80, 0.075, 1), 20_000, 14)]:
+        # The earlier 2k-ball packing bound ran past these budgets. The node
+        # counts pin the search itself: a change to the bound, the branching
+        # rule or the candidate order shows even when it keeps the optimum.
+        for g, budget, expected, nodes in [
+                (ng.er_random(60, 0.1, 2), 10_000, 12, 2440),
+                (ng.er_random(80, 0.075, 1), 20_000, 14, 3499),
+                (ng.er_random(50, 0.1, 0), 10_000, 9, 630)]:
             monkeypatch.setattr(optimum, "NODE_BUDGET", budget)
             r = min_dominating_exact(g, 1)
             assert r.proven_optimal and r.cost == expected
+            assert r.nodes_explored == nodes
 
 
 class TestSameOwnersAsReference:
