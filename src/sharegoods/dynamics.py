@@ -20,19 +20,20 @@ the configs' xi values sweep together as one group until a node whose
 decision differs across them; there the group splits in two, the xi
 values that rent and those that buy, and each part resumes from that
 node with its own copy of the state and of the generator. Each xi thus
-decides and draws exactly as it would alone. A row keeps, per xi, only a
-tally of its runs by (owner count, passes); `best_response_dynamics` is
+decides and draws exactly as it would alone. `best_response_dynamics` is
 the same loop for one config and one seed, and returns the whole result.
 
-`best_response_grid` runs every row of a command at once, on one path
-for any CPU count. It cuts the runs, row after row, into 96 blocks,
-writes one 1-byte token per block into a pipe and forks one child per
-further CPU the process may use (`os.sched_getaffinity`). Every process
-reads tokens until the pipe is empty and tallies its blocks' runs; the
-children send their tallies back with `marshal` and the parent adds
-them. Each run re-seeds its generator and a tally does not depend on
-which process ran a block, so the results are the same on any number of
-CPUs. A child shares the parent's pages, the k-balls among them,
+`best_response_grid` runs every row (g, cfgs, runs, master_seed) of a
+command at once, on one path for any CPU count. It cuts the runs, row
+after row, into 96 blocks, writes one 1-byte token per block into a pipe
+and forks one child per further CPU the process may use
+(`os.sched_getaffinity`). Every process reads tokens until the pipe is
+empty, derives run r's seed, derive_seed(master_seed, r), as it runs r's
+block, and counts each run's end in one flat tally {(row, xi, owner
+count, passes): runs}; the children send theirs back with `marshal` and
+the parent adds them. Each run re-seeds its generator and a tally does
+not depend on which process ran a block, so the results are the same on
+any number of CPUs. A child shares the parent's pages, the k-balls among them,
 copy-on-write, and leaves through `os._exit`; its memory is outside the
 parent's `RUSAGE_SELF`, so outside the benchmark's `peak_rss_mb`.
 
@@ -200,39 +201,33 @@ def _cpus() -> int:
 _BLOCKS = 96
 
 
-def _grid_chunk(g: Graph, cfgs: list[GameConfig], seeds: list[int],
-                per_xi: dict) -> None:
-    """Run seeds serially, adding each run to per_xi[xi], a tally
-    {(owner count, passes): runs}, for each xi of cfgs."""
-    n = g.n
-    for state, xis, case_counts in _trajectories(g, cfgs, seeds):
-        # Every non-owner follows one owner under SGG-AC, so the owners
-        # are the nodes that flw does not count.
-        key = (state.s.count(1) if state.sgg else n - sum(state.flw),
-               len(case_counts))
-        for xi in xis:
-            per_xi[xi][key] = per_xi[xi].get(key, 0) + 1
-
-
-def _deal(rows, tokens: int) -> list[dict]:
+def _deal(rows, tokens: int) -> dict:
     """Read tokens from the pipe's read end until it is empty and run each
-    token's block of the rows' runs, taken row after row. Returns the
-    tallies of its runs, one {xi: tally} per row."""
-    tallies = [{cfg.xi: {} for cfg in cfgs} for _, cfgs, _ in rows]
-    total = sum(len(seeds) for _, _, seeds in rows)
+    token's block of the rows' runs, taken row after row, seeding each run
+    there. Returns the tally of its runs, as `best_response_grid` does."""
+    tally = {}
+    total = sum(runs for _, _, runs, _ in rows)
     while token := os.read(tokens, 1):
         b = token[0]
         lo, hi = total * b // _BLOCKS, total * (b + 1) // _BLOCKS
-        for (g, cfgs, seeds), per_xi in zip(rows, tallies):
-            if part := seeds[max(lo, 0):max(hi, 0)]:
-                _grid_chunk(g, cfgs, part, per_xi)
-            lo, hi = lo - len(seeds), hi - len(seeds)   # from the next row
-    return tallies
+        for row, (g, cfgs, runs, master_seed) in enumerate(rows):
+            if part := range(max(lo, 0), min(hi, runs)):
+                seeds = (derive_seed(master_seed, r) for r in part)
+                for state, xis, cases in _trajectories(g, cfgs, seeds):
+                    # Every non-owner follows one owner under SGG-AC, so
+                    # the owners are the nodes that flw does not count.
+                    owners = (state.s.count(1) if state.sgg
+                              else g.n - sum(state.flw))
+                    for xi in xis:
+                        key = (row, xi, owners, len(cases))
+                        tally[key] = tally.get(key, 0) + 1
+            lo, hi = lo - runs, hi - runs   # from the next row
+    return tally
 
 
 def _fork_worker(rows, tokens: int) -> tuple[int, BinaryIO]:
     """Fork a child that runs `_deal` and writes to a pipe marshal.dumps of
-    its tallies, or of a RuntimeError's message. Returns (pid, the pipe's
+    its tally, or of a RuntimeError's message. Returns (pid, the pipe's
     read end); if the fork fails, closes the pipe and raises its OSError.
     The child leaves through os._exit, so it never returns into the caller,
     flushes stdio or runs atexit hooks."""
@@ -260,22 +255,14 @@ def _fork_worker(rows, tokens: int) -> tuple[int, BinaryIO]:
         os._exit(code)
 
 
-def _add(tallies: list[dict], more: list[dict]) -> None:
-    """Add the runs of each tally of more to the same tally of tallies."""
-    for per_xi, extra in zip(tallies, more):
-        for xi, counts in extra.items():
-            tally = per_xi[xi]
-            for key, runs in counts.items():
-                tally[key] = tally.get(key, 0) + runs
-
-
-def best_response_grid(rows) -> list[list[dict]]:
-    """Monte-Carlo rows: for each (g, cfgs, seeds) of rows, best-response
-    dynamics for each cfg of cfgs, which must share variant and k, one run
-    per seed of the sequence seeds. Returns, per row and per config, a
-    tally {(owner count, passes): runs that ended with them}; configs of
-    one xi share one tally. Each run draws its start once and sweeps one
-    trajectory per group of xi values that decide alike.
+def best_response_grid(rows) -> dict:
+    """Monte-Carlo rows: for each (g, cfgs, runs, master_seed) of rows,
+    `runs` best-response dynamics runs for each cfg of cfgs, which must
+    share variant and k; run r draws from derive_seed(master_seed, r).
+    Returns one tally {(row index, xi, owner count, passes): runs that
+    ended with them}, xi None under SGG; configs of one xi share its
+    counts. Each run draws its start once and sweeps one trajectory per
+    group of xi values that decide alike.
 
     The rows' k-balls are built first, so forked children inherit them.
     The runs of all rows, taken row after row, are cut into _BLOCKS blocks,
@@ -284,9 +271,9 @@ def best_response_grid(rows) -> list[list[dict]]:
     the result is the serial one. If a pipe or fork for a child fails, no
     further child is forked and the processes already running take the
     remaining blocks."""
-    for g, cfgs, _ in rows:
+    for g, cfgs, _, _ in rows:
         g.closed_neighborhoods(cfgs[0].k)
-    workers = min(_cpus(), sum(len(seeds) for _, _, seeds in rows), _BLOCKS)
+    workers = min(_cpus(), sum(runs for _, _, runs, _ in rows), _BLOCKS)
     tokens, w = os.pipe()
     os.write(w, bytes(range(_BLOCKS)))
     os.close(w)
@@ -297,7 +284,7 @@ def best_response_grid(rows) -> list[list[dict]]:
                 children.append(_fork_worker(rows, tokens))
             except OSError:
                 break
-        tallies = _deal(rows, tokens)
+        tally = _deal(rows, tokens)
         while children:
             pid, fh = children[0]
             with fh:
@@ -311,7 +298,8 @@ def best_response_grid(rows) -> list[list[dict]]:
             out = marshal.loads(data)
             if isinstance(out, str):
                 raise RuntimeError(out)
-            _add(tallies, out)
+            for key, runs in out.items():
+                tally[key] = tally.get(key, 0) + runs
     except BaseException:
         for pid, fh in children:
             fh.close()
@@ -320,8 +308,7 @@ def best_response_grid(rows) -> list[list[dict]]:
         raise
     finally:
         os.close(tokens)
-    return [[per_xi[cfg.xi] for cfg in cfgs]
-            for (_, cfgs, _), per_xi in zip(rows, tallies)]
+    return tally
 
 
 def best_response_dynamics(g: Graph, cfg: GameConfig,

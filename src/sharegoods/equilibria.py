@@ -12,7 +12,7 @@ from . import optimum
 # Nothing here calls best_response_dynamics or min_dominating_exact:
 # benchmarks/tracing.py wraps this module's bindings of them, so the
 # imports stay.
-from .dynamics import best_response_dynamics, best_response_grid, derive_seed
+from .dynamics import best_response_dynamics, best_response_grid
 from .game import GameConfig, check_node
 from .netgraph import Graph
 from .optimum import (OptResult, _disjoint_cover_bound, _members,
@@ -224,30 +224,28 @@ def exact_efficiency(g: Graph, cfgs: list[GameConfig],
 def empirical_cost_stats(rows) -> list[list[CostStats]]:
     """Social-cost statistics over repeated best-response dynamics runs:
     for each (g, cfgs, runs, master_seed) of rows, one CostStats per config,
-    seeds derived independently from (master_seed, run index).
+    run r drawing from derive_seed(master_seed, r).
 
     The configs of a row must share variant and k. One `best_response_grid`
-    call runs every row, and rows of one (master_seed, runs) share one seed
-    list. The statistics depend on the multiset of a config's costs only,
-    so the runs are listed by value from their tallies."""
-    seeds, grid = {}, []
-    for g, cfgs, runs, master_seed in rows:
+    call runs every row into one tally, grouped here by (row, xi). The
+    statistics depend on the multiset of a config's costs only, so the runs
+    are listed by value from its group, one config at a time."""
+    for _, cfgs, runs, _ in rows:
         if runs < 1:
             raise ValueError("runs must be >= 1")
         if len({(cfg.variant, cfg.k) for cfg in cfgs}) > 1:
             raise ValueError("the configs must share variant and k")
-        if (master_seed, runs) not in seeds:
-            seeds[master_seed, runs] = [derive_seed(master_seed, r)
-                                        for r in range(runs)]
-        grid.append((g, cfgs, seeds[master_seed, runs]))
+    ends = {}
+    for (row, xi, count, passes), m in best_response_grid(rows).items():
+        ends.setdefault((row, xi), []).append((count, passes, m))
     stats = []
-    for (_, cfgs, runs, _), tallies in zip(rows, best_response_grid(grid)):
-        row = []
-        for cfg, tally in zip(cfgs, tallies):
-            ends = [key for key, m in tally.items() for _ in range(m)]
-            cost = [cfg.p * count for count, _ in ends]
-            passes = [p for _, p in ends]
-            row.append(CostStats(
+    for row, (_, cfgs, runs, _) in enumerate(rows):
+        stats.append([])
+        for cfg in cfgs:
+            group = ends[row, cfg.xi]
+            cost = [cfg.p * count for count, _, m in group for _ in range(m)]
+            passes = [p for _, p, m in group for _ in range(m)]
+            stats[-1].append(CostStats(
                 runs=runs,
                 mean_cost=statistics.fmean(cost),
                 std_cost=statistics.stdev(cost) if runs > 1 else 0.0,
@@ -255,5 +253,4 @@ def empirical_cost_stats(rows) -> list[list[CostStats]]:
                 max_cost=max(cost),
                 mean_passes=statistics.fmean(passes),
             ))
-        stats.append(row)
     return stats

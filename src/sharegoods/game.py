@@ -66,17 +66,21 @@ class GameConfig:
         if self.a is None:
             if not 1 <= self.xi <= sys.float_info.max:
                 raise ValueError("xi must be between 1 and the largest float")
-            # Guarantees ceil(p/a) - 1 == xi and non-integral p/a.
             self.a = self.p / (self.xi + 0.5)
         if not 0 < self.a < self.p:
             raise ValueError(f"access cost a = {self.a!r} breaks 0 < a < p")
+        ratio = self.p / self.a
+        if ratio == math.inf:
+            raise ValueError("access cost a is too small: p/a overflows")
         if self.xi is None:
-            ratio = self.p / self.a
-            if ratio == math.inf:
-                raise ValueError("access cost a is too small: p/a overflows")
             if abs(ratio - round(ratio)) < 1e-9:
                 raise ValueError("p/a must not be an integer")
             self.xi = math.ceil(ratio) - 1
+        # a = p/(xi + 0.5) is meant to give ceil(p/a) - 1 == xi and a
+        # non-integral p/a; float rounding breaks that from about 2**52.
+        elif ratio == math.ceil(ratio) or math.ceil(ratio) - 1 != self.xi:
+            raise ValueError(f"xi = {self.xi} is too large: p/a = {ratio!r}"
+                             " is not strictly between xi and xi + 1")
 
 
 def owners(cfg: GameConfig, s: Profile) -> set[int]:

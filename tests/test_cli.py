@@ -411,8 +411,9 @@ class TestBadInput:
         assert err.count("error:") == err.count("\n") == (code == 2)
 
     def test_float_overflow_and_underflow(self, tmp_path, capsys):
-        """Formerly an OverflowError traceback (the first two) or a CSV
-        row with a = 0 or a = p (the last two)."""
+        """Formerly an OverflowError traceback (the first two), a CSV row
+        with a = 0 or a = p (the next two) or one whose p/a is an integer,
+        not strictly between xi and xi + 1 (the last three)."""
         cfg = tmp_path / "exp.cfg"
         for keys, message in [
                 ("a = 1e-320", "access cost a is too small: p/a overflows"),
@@ -421,7 +422,9 @@ class TestBadInput:
                 ("p = 5e-324\nb = 1\nxi = 3",
                  "access cost a = 0.0 breaks 0 < a < p"),
                 ("p = 5e-324\nb = 1\nxi = 1",
-                 "access cost a = 5e-324 breaks 0 < a < p")]:
+                 "access cost a = 5e-324 breaks 0 < a < p")] + [
+                (f"xi = {xi}", f"xi = {xi} is too large")
+                for xi in (2 ** 52 - 1, 2 ** 52, 10 ** 20)]:
             cfg.write_text("family = star\nn = 6\nruns = 2\n"
                            f"variant = SGG-AC\n{keys}\n")
             code = main(["run", str(cfg), "--out", str(tmp_path / "t.csv")])

@@ -38,6 +38,19 @@ def exact_reports(g, cfgs):
                             min_dominating_exact(g, cfgs[0].k, p=cfgs[0].p))
 
 
+def ends(tally, row, xi):
+    """{(owner count, passes): runs} of one (row, xi) of a
+    best_response_grid tally."""
+    return {key[2:]: m for key, m in tally.items() if key[:2] == (row, xi)}
+
+
+def row_by_row(rows):
+    """The tally of best_response_grid run on each row alone, its row
+    indices set to the row's place in rows."""
+    return {(i, *key[1:]): m for i, row in enumerate(rows)
+            for key, m in best_response_grid([row]).items()}
+
+
 class TestEnumeration:
     def test_figure1(self, figure1_graph):
         sets = enumerate_ne_owner_sets_sgg(figure1_graph, 1)
@@ -172,6 +185,22 @@ class TestSggacEnumeration:
                     assert report.worst_ne_cost == max(sizes)
                     assert report.best_ne_cost == min(sizes)
 
+    def test_unreachable_threshold_is_sgg(self):
+        """The paper's limit: once xi >= n - 1 no ball holds an owner, another
+        owner and xi followers, so no owner is contested and SGG-AC's search
+        lists, and bounds, exactly as SGG's."""
+        rng = random.Random(43)
+        for _ in range(100):
+            n1 = rng.randint(2, 12)
+            g = disjoint_union(random_graph(rng, n1, rng.random() * 0.7),
+                               isolated=rng.randint(0, 12 - n1))
+            for k in (1, 2):
+                cov = cover_masks(g, k)
+                for objective in (None, "smallest", "largest"):
+                    sgg = _dominating_owner_sets(cov, None, objective)
+                    for xi in (g.n - 1, g.n, g.n + 5):
+                        assert _dominating_owner_sets(
+                            cov, xi, objective) == sgg, (g.n, k, xi)
 
     def test_failed_claims_fail_for_every_superset(self):
         """The enumerator cuts every extension of an owner set that fails
@@ -442,8 +471,9 @@ class TestEmpiricalStats:
                 empirical_cost_stats([(ng.star(5), cfgs, 2, 0)])
 
     def test_rows_equal_single_rows(self, monkeypatch):
-        """One call for several rows gives each row's stats alone, and rows
-        of one (master_seed, runs) derive their seeds once."""
+        """One call for several rows gives each row's stats alone, and each
+        run derives its seed once, from its row's master_seed and its index
+        in the row."""
         rows = [(ng.star(9), [GameConfig(SGG, 1)], 12, 3),
                 (ng.karate(), [GameConfig(SGG_AC, 1, xi=xi)
                                for xi in (1, 2, 5)], 12, 3),
@@ -455,9 +485,11 @@ class TestEmpiricalStats:
         def counted(master_seed, index):
             derived.append((master_seed, index))
             return derive_seed(master_seed, index)
-        monkeypatch.setattr(equilibria, "derive_seed", counted)
+        monkeypatch.setattr(dynamics, "derive_seed", counted)
+        monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
         assert empirical_cost_stats(rows) == singles
-        assert len(derived) == 12 + 5 + 12
+        assert sorted(derived) == sorted(
+            (seed, r) for *_, runs, seed in rows for r in range(runs))
 
     def test_grid_equals_single_configs(self):
         """One best_response_grid call runs a whole row: every (run,
@@ -507,14 +539,13 @@ class TestEmpiricalStats:
                 if covered == grid:
                     r, covered = r + 1, set()
             assert (r, covered) == (runs, set())
-            (results,) = best_response_grid([(g, cfgs, seeds)])
-            assert len(results) == len(cfgs)
-            for c, (cfg, tally) in enumerate(zip(cfgs, results)):
-                assert tally == Counter(
+            tally = best_response_grid([(g, cfgs, runs, seed)])
+            # One group of counts per xi: configs of one xi share it.
+            assert {key[:2] for key in tally} == {(0, xi) for xi in grid}
+            for c, cfg in enumerate(cfgs):
+                assert ends(tally, 0, cfg.xi) == Counter(
                     (len(game.owners(cfg, ref[c].profile)), ref[c].passes)
                     for ref in refs), (trial, cfg)
-                for other, shared in zip(cfgs, results):
-                    assert (shared is results[c]) == (other.xi == cfg.xi)
             (grid_stats,) = empirical_cost_stats([(g, cfgs, runs, seed)])
             singles = [empirical_cost_stats([(g, [cfg], runs, seed)])[0][0]
                        for cfg in cfgs]
@@ -537,22 +568,22 @@ class TestForkedRow:
 
     @staticmethod
     def children_start(monkeypatch, in_child):
-        """Patch dynamics._grid_chunk so that every child block calls
+        """Patch dynamics._trajectories so that every child block calls
         in_child() first, and this process's blocks wait until a child has
         started one: the children surely get blocks. Returns the fds of
         the pipe that signals it."""
-        parent, grid_chunk = os.getpid(), dynamics._grid_chunk
+        parent, trajectories = os.getpid(), dynamics._trajectories
         r, w = os.pipe()
 
-        def patched(g, cfgs, seeds, per_xi):
+        def patched(g, cfgs, seeds):
             if os.getpid() != parent:
                 os.write(w, b"x")
                 in_child()
             else:              # nothing reads r, so it stays readable
                 assert select.select([r], [], [], 30)[0]
-            grid_chunk(g, cfgs, seeds, per_xi)
+            return trajectories(g, cfgs, seeds)
 
-        monkeypatch.setattr(dynamics, "_grid_chunk", patched)
+        monkeypatch.setattr(dynamics, "_trajectories", patched)
         monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
         return r, w
 
@@ -566,10 +597,11 @@ class TestForkedRow:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_equals_serial(self, monkeypatch, cpus):
-        """The tallies of the reference runs, {(owner count, passes): runs},
-        and of the serial rows, for every run count up to 7, fewer runs
-        than blocks among them, with rows of one seed list and of their
-        own; configs of one xi still share one tally."""
+        """The tally of the reference runs, {(row, xi, owner count,
+        passes): runs}, and of the serial rows, for every run count up to
+        7, fewer runs than blocks among them, with rows of one (runs,
+        master_seed) and of their own; configs of one xi still share one
+        group of counts."""
         rows = [(ng.star(12), [GameConfig(SGG, 1),
                                GameConfig(SGG, 1, b=3, p=2)]),
                 (ng.chain(15), [GameConfig(SGG, 2)]),
@@ -586,21 +618,21 @@ class TestForkedRow:
             return len(game.owners(cfg, ref.profile)), ref.passes
 
         for runs in range(1, 8):
-            shared = [derive_seed(9, r) for r in range(runs)]
-            grid = [(g, cfgs, shared if i < 2 else
-                     [derive_seed(i, r) for r in range(runs + i)])
+            grid = [(g, cfgs, runs, 9) if i < 2 else (g, cfgs, runs + i, i)
                     for i, (g, cfgs) in enumerate(rows)]
             monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
-            serial = [best_response_grid([row])[0] for row in grid]
+            serial = row_by_row(grid)
             monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
             got = best_response_grid(grid)
             assert got == serial, runs
-            for i, ((_, cfgs, seeds), tallies) in enumerate(zip(grid, got)):
+            assert {key[:2] for key in got} == {
+                (i, cfg.xi) for i, (_, cfgs, *_) in enumerate(grid)
+                for cfg in cfgs}
+            for i, (_, cfgs, row_runs, seed) in enumerate(grid):
                 for c, cfg in enumerate(cfgs):
-                    assert tallies[c] == Counter(end(i, c, seed)
-                                                 for seed in seeds)
-                    for other, tally in zip(cfgs, tallies):
-                        assert (tally is tallies[c]) == (other.xi == cfg.xi)
+                    assert ends(got, i, cfg.xi) == Counter(
+                        end(i, c, derive_seed(seed, r))
+                        for r in range(row_runs))
         self.assert_no_children()
 
     def test_forks_once_per_command(self, monkeypatch, tmp_path):
@@ -627,11 +659,12 @@ class TestForkedRow:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_blocks_span_rows(self, monkeypatch, cpus):
         """With more rows than blocks, a block spans rows: 120 rows of 1-3
-        runs, some sharing one seed list, give each row's tallies alone,
-        and so does a call with fewer runs than blocks. Each call forks
-        once per further CPU."""
+        runs, each with a master_seed of its own but every fifth, which
+        share one, give each row's tallies alone, and so does a call with
+        fewer runs than blocks. A block that spans rows of other master
+        seeds switches seed streams there. Each call forks once per
+        further CPU."""
         rng = random.Random(5)
-        shared = [derive_seed(1, r) for r in range(3)]
         kinds = [(ng.star(6), [GameConfig(SGG, 1)]),
                  (ng.chain(7), [GameConfig(SGG_AC, 1, xi=1),
                                 GameConfig(SGG_AC, 1, xi=3)]),
@@ -640,11 +673,17 @@ class TestForkedRow:
         for i in range(120):
             g, cfgs = kinds[rng.randrange(3)]
             runs = rng.randint(1, 3)
-            rows.append((g, cfgs, shared if i % 5 == 0 else
-                         [derive_seed(i, r) for r in range(runs)]))
+            rows.append((g, cfgs, 3, 1) if i % 5 == 0 else
+                        (g, cfgs, runs, i))
         assert len(rows) > dynamics._BLOCKS
+        # The master seed of each run, run after run, and of each block.
+        streams = [seed for *_, runs, seed in rows for _ in range(runs)]
+        total = len(streams)
+        assert any(len(set(streams[total * b // dynamics._BLOCKS:
+                                   total * (b + 1) // dynamics._BLOCKS])) > 1
+                   for b in range(dynamics._BLOCKS))
         monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
-        singles = [best_response_grid([row])[0] for row in rows]
+        singles = row_by_row(rows)
         fork, forks = os.fork, []
 
         def counted():
@@ -656,8 +695,9 @@ class TestForkedRow:
         monkeypatch.setattr(dynamics, "_cpus", lambda: cpus)
         assert best_response_grid(rows) == singles
         assert len(forks) == cpus - 1
-        assert sum(len(seeds) for *_, seeds in rows[:7]) < dynamics._BLOCKS
-        assert best_response_grid(rows[:7]) == singles[:7]
+        assert sum(runs for *_, runs, _ in rows[:7]) < dynamics._BLOCKS
+        assert best_response_grid(rows[:7]) == {
+            key: m for key, m in singles.items() if key[0] < 7}
         assert len(forks) == 2 * (cpus - 1)
         self.assert_no_children()
 
@@ -670,8 +710,8 @@ class TestForkedRow:
         the processes already running deal the remaining blocks, with the
         serial tallies, and no fd or child is left."""
         rows = [(ng.karate(), [GameConfig(SGG_AC, 1, xi=xi)
-                               for xi in (1, 2, 5)], range(9)),
-                (ng.star(7), [GameConfig(SGG, 1)], range(4))]
+                               for xi in (1, 2, 5)], 9, 0),
+                (ng.star(7), [GameConfig(SGG, 1)], 4, 1)]
         monkeypatch.setattr(dynamics, "_cpus", lambda: 1)
         serial = best_response_grid(rows)
         real, calls = getattr(os, call), []
@@ -723,7 +763,7 @@ class TestForkedRow:
         with pytest.raises(RuntimeError, match=r"^failed in process \d+$"
                            ) as exc:
             best_response_grid([(ng.karate(), [GameConfig(SGG_AC, 1, xi=2)],
-                                 range(6))])
+                                 6, 0)])
         assert str(exc.value) != f"failed in process {os.getpid()}"
         self.assert_no_children()
         for fd in fds:
@@ -741,7 +781,7 @@ class TestForkedRow:
         fds = self.children_start(monkeypatch, die)
         with pytest.raises(RuntimeError,
                            match=f"exited with status {status}$"):
-            best_response_grid([(ng.star(5), [GameConfig(SGG, 1)], [0, 1])])
+            best_response_grid([(ng.star(5), [GameConfig(SGG, 1)], 2, 0)])
         self.assert_no_children()
         for fd in fds:
             os.close(fd)
@@ -749,20 +789,19 @@ class TestForkedRow:
     def test_parent_error_kills_children(self, monkeypatch):
         """When one of this process's blocks fails, it kills its children
         rather than wait for them."""
-        parent, grid_chunk = os.getpid(), dynamics._grid_chunk
+        parent, trajectories = os.getpid(), dynamics._trajectories
 
-        def failing(g, cfgs, seeds, per_xi):
+        def failing(g, cfgs, seeds):
             if os.getpid() == parent:
                 raise RuntimeError("parent failed")
             time.sleep(60)
-            grid_chunk(g, cfgs, seeds, per_xi)
+            return trajectories(g, cfgs, seeds)
 
-        monkeypatch.setattr(dynamics, "_grid_chunk", failing)
+        monkeypatch.setattr(dynamics, "_trajectories", failing)
         monkeypatch.setattr(dynamics, "_cpus", lambda: 3)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="^parent failed$"):
-            best_response_grid([(ng.star(5), [GameConfig(SGG, 1)],
-                                 range(6))])
+            best_response_grid([(ng.star(5), [GameConfig(SGG, 1)], 6, 0)])
         assert time.monotonic() - start < 30
         self.assert_no_children()
 
@@ -778,7 +817,7 @@ class TestForkedRow:
             "atexit.register(print, 'atexit')\n"
             "print('before the rows')\n"
             "dynamics.best_response_grid([(\n"
-            "    netgraph.karate(), [GameConfig(SGG_AC, 1, xi=2)], range(7))])\n"
+            "    netgraph.karate(), [GameConfig(SGG_AC, 1, xi=2)], 7, 0)])\n"
             "print('after the rows')\n")
         src = Path(dynamics.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script],

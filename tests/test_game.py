@@ -53,6 +53,20 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="^xi must be between 1 and"):
             GameConfig(SGG_AC, 1, b=2, p=1, xi=10 ** 320)
 
+    def test_xi_too_large_for_a_float_a(self):
+        """From xi = 2**52 - 1 on, p/(xi + 0.5) rounds to an a whose p/a
+        is integral; below, every derived a keeps xi < p/a < xi + 1."""
+        for xi in (2 ** 52 - 1, 2 ** 52, 10 ** 20):
+            with pytest.raises(ValueError, match=f"^xi = {xi} is too large"):
+                GameConfig(SGG_AC, 1, b=2, p=1, xi=xi)
+        for e in range(52):
+            for xi in (2 ** e - 1, 2 ** e, 2 ** e + 1):
+                if xi:
+                    cfg = GameConfig(SGG_AC, 1, b=2, p=1, xi=xi)
+                    ratio = cfg.p / cfg.a
+                    assert ratio != math.ceil(ratio)
+                    assert math.ceil(ratio) - 1 == xi
+
     def test_derived_a_outside_zero_to_p(self):
         # 5e-324/3.5 rounds to 0 and 5e-324/1.5 back to 5e-324.
         for xi in (3, 1):
