@@ -346,6 +346,7 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
 
     # Region assignment: each node follows its nearest owner, regions
     # connected because every node inherits its BFS parent's owner.
+    adj = g.closed_neighborhoods(1)
     s = [-1] * g.n
     dq = deque()
     for o in sorted(opt_owners):
@@ -353,7 +354,7 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
         dq.append(o)
     while dq:
         v = dq.popleft()
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if s[w] == -1:
                 s[w] = s[v]
                 dq.append(w)

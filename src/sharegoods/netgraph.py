@@ -4,9 +4,10 @@ and the generator families used by the simulations."""
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -36,28 +37,32 @@ KARATE_EDGES = (
 class Graph:
     """Immutable undirected simple graph on dense node ids 0..n-1.
 
-    It keeps one sorted neighbour tuple per node and the edge count, not
-    an edge set: `edges` is built in O(m) on each access, for tests, not
-    hot paths. Closed k-hop balls are cached per k; the solvers reuse them.
+    Its adjacency is each node's closed neighbourhood, a sorted tuple that
+    holds the node itself; that tuple of tuples is also the k=1 ball table.
+    `edges` is built in O(m) on each access, for tests, not hot paths.
+    Closed k-hop balls for the other radii are built once per k and cached;
+    the solvers reuse them.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_nbhd_cache")
+    __slots__ = ("n", "_adj", "_nbhd_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("node count must be non-negative")
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj: list[list[int]] = [[i] for i in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            adj[u].append(v)
-            adj[v].append(u)
+            # Each list starts with its node's own id object; storing that
+            # one, not the caller's copy, keeps one int per node alive.
+            au, av = adj[u], adj[v]
+            au.append(av[0])
+            av.append(au[0])
         self.n = n
         self._adj = tuple(tuple(sorted(set(a))) for a in adj)
-        self._m = sum(map(len, self._adj)) // 2
-        self._nbhd_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._nbhd_cache: dict[int, tuple[array, ...]] = {}
 
     @property
     def edges(self) -> frozenset:
@@ -66,15 +71,22 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return (sum(map(len, self._adj)) - self.n) // 2
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adj[i]
+    def closed_neighborhoods(self, k: int) -> tuple[Sequence[int], ...]:
+        """Every node's closed k-hop ball, sorted, indexed by node.
 
-    def closed_neighborhoods(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """All closed k-hop neighborhoods as sorted tuples; cached per k."""
+        k=1 returns the adjacency itself, a tuple per node. Any other k
+        builds its table once and caches it: each ball is an `array.array`
+        of typecode 'H' (2 bytes an id) when n <= 65,536, else 'I'. The
+        balls are shared by every caller and must not be modified."""
+        if k == 1:
+            return self._adj
         cached = self._nbhd_cache.get(k)
         if cached is None:
+            if k < 0:
+                raise ValueError(f"k must be >= 0, got {k}")
+            typecode = "H" if self.n <= 1 << 16 else "I"
             # One BFS per source, depth k; mark[w] == source means seen.
             adj = self._adj
             mark = [-1] * self.n
@@ -95,7 +107,7 @@ class Graph:
                     ball += nxt
                     frontier = nxt
                 ball.sort()
-                balls.append(tuple(ball))
+                balls.append(array(typecode, ball))
             cached = self._nbhd_cache[k] = tuple(balls)
         return cached
 
@@ -251,6 +263,7 @@ def generate(spec: FamilySpec) -> Graph:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components, ordered by smallest member, each sorted."""
+    adj = g.closed_neighborhoods(1)
     seen = [False] * g.n
     comps = []
     for start in range(g.n):
@@ -261,7 +274,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         dq = deque([start])
         while dq:
             v = dq.popleft()
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)

@@ -652,7 +652,9 @@ def reference_stabilize(g: Graph, cfg: GameConfig,
     current = set(opt_owners)
 
     # Region assignment: each node follows its nearest owner, regions
-    # connected because every node inherits its BFS parent's owner.
+    # connected because every node inherits its BFS parent's owner. A
+    # closed 1-ball holds v itself, which is already assigned.
+    adj = g.closed_neighborhoods(1)
     s = [-1] * n
     dq = deque()
     for o in sorted(current):
@@ -660,7 +662,7 @@ def reference_stabilize(g: Graph, cfg: GameConfig,
         dq.append(o)
     while dq:
         v = dq.popleft()
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if s[w] == -1:
                 s[w] = s[v]
                 dq.append(w)

@@ -8,18 +8,20 @@ from _oracles import (ball_masks, component_masks, disjoint_union,
 from sharegoods import netgraph as ng
 from sharegoods.netgraph import (ConfigError, FamilySpec, Graph, ParseError,
                                  connected_components, load_edge_list)
+from sharegoods.optimum import min_dominating_greedy
 
 
 # Whitespace that `str.split` and `str.strip` both treat as blank, and
 # line breaks that `str.splitlines` splits on.
 BLANKS = (" ", "\t", "  ", " \t", "\xa0", "\u3000")
-BREAKS = ("\n", "\r\n", "\r", "\x0c", "\u2028")
+BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+          "\x85", "\u2028", "\u2029")
 BAD_LINES = ("1 2 3", "4 x", "-3 4", "7 7", "1_0 2", "+1 2", "\u0661 2")
 
 
 def document_lines(rng: random.Random) -> list[str]:
-    """Edge-list lines over sparse or dense ids, with repeated and
-    reversed edges, comments and blank lines."""
+    """Edge-list lines over sparse or dense ids, some written with leading
+    zeros, with repeated and reversed edges, comments and blank lines."""
     pool = (rng.sample(range(10**9 + 1), rng.randint(2, 40))
             if rng.random() < 0.5 else list(range(rng.randint(2, 30))))
     pairs: list[tuple[int, int]] = []
@@ -38,6 +40,8 @@ def document_lines(rng: random.Random) -> list[str]:
             else:
                 u, v = rng.sample(pool, 2)
                 pairs.append((u, v))
+            u, v = (f"{x:0{rng.randint(2, 12)}d}" if rng.random() < 0.1
+                    else str(x) for x in (u, v))
             pad = rng.choice(("",) + BLANKS)
             lines.append(f"{pad}{u}{rng.choice(BLANKS)}{v}"
                          f"{rng.choice(('', pad))}")
@@ -46,6 +50,34 @@ def document_lines(rng: random.Random) -> list[str]:
 
 def join_lines(rng: random.Random, lines: list[str]) -> str:
     return "".join(line + rng.choice(BREAKS) for line in lines)
+
+
+def benchmark_edge_list() -> str:
+    """G(5000, 20000) as the benchmark writes it, edges sorted."""
+    rng = random.Random(5)
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < 20000:
+        u, v = rng.randrange(5000), rng.randrange(5000)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return "".join(f"{u} {v}\n" for u, v in sorted(pairs))
+
+
+def traced(fn, *args):
+    """fn(*args), with the bytes its result keeps and the peak bytes of
+    the call, both above the traced memory before the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, kept - base, peak - base
 
 
 class TestLoadEdgeList:
@@ -99,8 +131,9 @@ class TestLoadEdgeList:
             g = load_edge_list(text)
             assert (g.n, g.edges, g.edge_count) == \
                 (ref.n, ref.edges, ref.edge_count), (trial, text)
-            for i in range(g.n):
-                assert g.neighbors(i) == ref.neighbors(i), (trial, i)
+            for i, ball in enumerate(g.closed_neighborhoods(1)):
+                assert tuple(j for j in ball if j != i) == ref.neighbors(i), \
+                    (trial, i)
 
     def test_parse_errors_match_reference(self):
         rng = random.Random(16)
@@ -119,36 +152,29 @@ class TestLoadEdgeList:
         """G(5000, 20000) as the benchmark writes it: the load must not
         hold a per-edge container beyond one line, nor the graph keep
         one. The edge-tuple list and set peaked at 10.0 MB and left a
-        2.97 MB graph; the two id columns peak at 3.0 MB for 0.69 MB."""
-        rng = random.Random(5)
-        pairs: set[tuple[int, int]] = set()
-        while len(pairs) < 20000:
-            u, v = rng.randrange(5000), rng.randrange(5000)
-            if u != v:
-                pairs.add((min(u, v), max(u, v)))
-        text = "".join(f"{u} {v}\n" for u, v in sorted(pairs))
-        del pairs
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            g = load_edge_list(text)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            if started:
-                tracemalloc.stop()
+        2.97 MB graph; the two id columns peak at 3.0 MB for 0.75 MB."""
+        g, kept, peak = traced(load_edge_list, benchmark_edge_list())
         assert g.edge_count == 20000
-        assert peak - base < 6_000_000
-        assert kept - base < 1_500_000
+        assert peak < 6_000_000
+        assert kept < 1_500_000
+
+    def test_ball_table_memory(self):
+        """The k=1 table is the adjacency the graph holds already, and the
+        k=2 balls are 2-byte arrays: built as tuples of ids, the tables of
+        this G(5000, 20000) kept 0.29 MB (k=1) and 3.30 MB (k=2)."""
+        g = load_edge_list(benchmark_edge_list())
+        _, kept1, _ = traced(g.closed_neighborhoods, 1)
+        table, kept2, _ = traced(g.closed_neighborhoods, 2)
+        assert len(table) == g.n
+        assert kept1 < 50_000
+        assert kept2 < 1_600_000
 
 
 class TestGenerators:
     def test_star(self):
         g = ng.star(100)
         assert g.n == 100 and g.edge_count == 99
-        assert len(g.neighbors(0)) == 99
+        assert len(g.closed_neighborhoods(1)[0]) == 100
 
     def test_chain(self):
         g = ng.chain(4)
@@ -166,12 +192,13 @@ class TestGenerators:
         g = ng.two_center_tree(k=1, m=2)
         assert g.n == 6
         assert (0, 1) in g.edges
-        assert len(g.neighbors(0)) == 3 and len(g.neighbors(1)) == 3
+        balls = g.closed_neighborhoods(1)
+        assert len(balls[0]) == 4 and len(balls[1]) == 4
 
     def test_center_arms_tree(self):
         g = ng.center_arms_tree(k=3, m=2)
         assert g.n == 7
-        assert len(g.neighbors(0)) == 2
+        assert len(g.closed_neighborhoods(1)[0]) == 3
         # each arm is a path of length 3 hanging off the center
         comps = connected_components(g)
         assert len(comps) == 1
@@ -238,7 +265,34 @@ class TestKHop:
                 table = g.closed_neighborhoods(k)
                 expected = [tuple(j for j in range(g.n) if m >> j & 1)
                             for m in ball_masks(g, k)]
-                assert list(table) == expected, (trial, k)
+                assert [tuple(b) for b in table] == expected, (trial, k)
+
+    def test_k1_table_is_the_adjacency(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            g = disjoint_union(random_graph(rng, rng.randint(0, 15), 0.3),
+                               isolated=rng.randint(0, 2))
+            table = g.closed_neighborhoods(1)
+            assert g.closed_neighborhoods(1) is table
+            assert all(i in ball for i, ball in enumerate(table))
+
+    def test_ball_typecode_follows_node_count(self):
+        """Ids fit 2 bytes up to n = 65,536, and take 4 beyond."""
+        for n, typecode, itemsize in ((65536, "H", 2), (65537, "I", 4)):
+            table = ng.chain(n).closed_neighborhoods(2)
+            last = table[-1]
+            assert (last.typecode, last.itemsize) == (typecode, itemsize)
+            assert tuple(last) == (n - 3, n - 2, n - 1)
+
+    def test_negative_radius_rejected(self):
+        g = ng.chain(4)
+        for _ in range(2):           # the first refusal caches nothing
+            with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+                g.closed_neighborhoods(-1)
+        with pytest.raises(ValueError, match=r"^k must be >= 0, got -2$"):
+            min_dominating_greedy(g, -2)
+        assert [tuple(b) for b in g.closed_neighborhoods(0)] == \
+            [(0,), (1,), (2,), (3,)]
 
 
 class TestComponents:
