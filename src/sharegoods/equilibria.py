@@ -13,7 +13,7 @@ from . import optimum
 # benchmarks/tracing.py wraps this module's bindings of them, so the
 # imports stay.
 from .dynamics import best_response_dynamics, best_response_grid
-from .game import GameConfig, check_node
+from .game import SGG_AC, GameConfig, check_node
 from .netgraph import Graph
 from .optimum import (OptResult, _disjoint_cover_bound, _members,
                       cover_masks, min_dominating_exact)
@@ -38,27 +38,33 @@ class CostStats:
     mean_passes: float
 
 
-def _dominating_owner_sets(cov: list[int], xi: int | None = None,
+def _dominating_owner_sets(cov: list[int], xi: int,
                            objective: str | None = None) -> list[int]:
     """Equilibrium owner sets, as bitmasks, given the closed k-ball masks
-    cov and xi, the followers each contested owner holds under SGG-AC, or
-    None under SGG: all of them with no objective; with "smallest" or
-    "largest", each one that beats the one before it, so the last is an
-    extreme.
+    cov and xi, the followers each contested owner holds under SGG-AC: all
+    of them with no objective; with "smallest" or "largest", each one that
+    beats the one before it, so the last is an extreme. SGG is the
+    threshold xi = n, which no ball can hold, so no owner is contested.
 
     Nodes are decided in id order. Excluding node i is cut when some node
     whose highest-id potential dominator is i is still undominated.
-    Including i is cut when the owners chosen so far, i among them, break
-    the rule, for then every set that extends them does: under SGG, an
-    owner lies in i's ball; under SGG-AC, _follower_claims fails. "smallest"
-    cuts on the B&B's disjoint-coverer bound, "largest" on _largest_bound;
-    a search of more than optimum.NODE_BUDGET nodes raises a RuntimeError.
+    Including i is cut when _follower_claims fails on the owners chosen so
+    far, i among them, for then every set that extends them fails too. Two
+    joins are decided without it, exactly:
+    - an undominated i is admitted. Balls are symmetric, so i lies in no
+      owner's ball: it contests no owner and was no follower, and the
+      admitted parent's claims stand;
+    - a dominated i is cut if it or an owner in its ball is not in ok.
+      Each of those is now contested, and a ball that cannot hold its
+      owner, another owner and xi followers fails the claims.
+    Under SGG ok is empty, so the claims are never made. "smallest" cuts
+    on the B&B's disjoint-coverer bound, "largest" on _largest_bound; a
+    search of more than optimum.NODE_BUDGET nodes raises a RuntimeError.
     """
     n = len(cov)
     # The nodes that can be contested owners: the ball of one holds it,
     # another owner and its xi followers.
-    ok = sum(1 << v for v in range(n)
-             if xi is not None and cov[v].bit_count() >= xi + 2)
+    ok = sum(1 << v for v in range(n) if cov[v].bit_count() >= xi + 2)
     due = [0] * n
     for u in range(n):
         due[cov[u].bit_length() - 1] |= 1 << u
@@ -87,10 +93,8 @@ def _dominating_owner_sets(cov: list[int], xi: int | None = None,
         if not undominated & due[i]:
             stack.append((i + 1, chosen, undominated, unc, count))
         with_i = chosen | 1 << i
-        # i contests the owners in its ball, and is uncontested itself iff
-        # no owner lies there, iff i is undominated: SGG's admit rule.
-        if (undominated >> i & 1 if xi is None
-                else _follower_claims(cov, with_i, xi) is not None):
+        if undominated >> i & 1 or not cov[i] & with_i & ~ok and \
+                _follower_claims(cov, with_i, xi) is not None:
             stack.append((i + 1, with_i, undominated & ~cov[i],
                           (unc & ~cov[i]) | (undominated & 1 << i),
                           count + 1))
@@ -98,8 +102,7 @@ def _dominating_owner_sets(cov: list[int], xi: int | None = None,
 
 
 def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
-                   unc: int, undominated: int, xi: int | None,
-                   ok: int) -> int:
+                   unc: int, undominated: int, xi: int, ok: int) -> int:
     """Upper bound on the size of an admitted dominating owner set that
     extends a search state: count owners chosen below node i (the bitmask
     chosen), unc of them with no other owner in their ball, and the
@@ -109,11 +112,11 @@ def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
     node from i on, and uncontested owners are pairwise more than k hops
     apart: each clique of a greedy clique cover of those nodes in G^k holds
     at most one. An owner in unc lies in no undominated node's ball, so it
-    is a clique of its own. Under SGG every owner is uncontested. Under
-    SGG-AC, a set of s owners, u of them uncontested, gives each contested
-    owner xi followers among the non-owners: xi·(s - u) <= n - s. And a
-    contested owner is a node of ok, whose ball holds at least xi + 2
-    nodes, chosen or from i on. Both caps grow with u, so u = q bounds s."""
+    is a clique of its own. A set of s owners, u of them uncontested, gives
+    each contested owner xi followers among the non-owners: xi·(s - u) <=
+    n - s. And a contested owner is a node of ok, whose ball holds at least
+    xi + 2 nodes, chosen or from i on; under SGG (xi = n) ok is empty.
+    Both caps grow with u, so u = q bounds s."""
     n = len(cov)
     q = unc.bit_count()
     rest = undominated >> i << i
@@ -124,16 +127,14 @@ def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
             low = cand & -cand
             rest ^= low
             cand &= cov[low.bit_length() - 1] ^ low
-    if xi is not None:
-        q += min((ok & (chosen | -(1 << i))).bit_count(),
-                 (n - q) // (xi + 1))
+    q += min((ok & (chosen | -(1 << i))).bit_count(), (n - q) // (xi + 1))
     return min(count + n - i, q)
 
 
 def enumerate_ne_owner_sets_sgg(g: Graph, k: int) -> list[frozenset]:
     """All k-independent dominating sets, smallest first."""
     cov = cover_masks(g, k)
-    masks = _dominating_owner_sets(cov)
+    masks = _dominating_owner_sets(cov, len(cov))
     return sorted((frozenset(_members(m)) for m in masks),
                   key=lambda s: (len(s), sorted(s)))
 
@@ -178,6 +179,7 @@ def sggac_witness_profile(g: Graph, k: int, xi: int,
     equilibrium, or None if none exists. Each follower claimed by
     _follower_claims follows its claimant; every other non-owner follows
     its lowest-id owner in range, and there must be one."""
+    GameConfig(SGG_AC, k, xi=xi)    # the game's checks: k >= 1, xi >= 1
     owners = sum(1 << check_node(g, o) for o in set(owner_set))
     cov = cover_masks(g, k)
     holder = _follower_claims(cov, owners, xi)
@@ -204,16 +206,16 @@ def exact_efficiency(g: Graph, cfgs: list[GameConfig],
     """Exact worst/best equilibrium costs against opt, the optimum at the
     configs' k and p, one report per config. The configs must share k and
     p, so that the one optimum serves them all."""
-    if len({(cfg.k, cfg.p) for cfg in cfgs}) > 1:
-        raise ValueError("the configs must share k and p")
+    if len({(cfg.k, cfg.p) for cfg in cfgs}) != 1:
+        raise ValueError("give one or more configs, sharing k and p")
     if g.n == 0:
         raise ValueError("exact_efficiency needs at least one node")
     cov = cover_masks(g, cfgs[0].k)
     reports = []
     for cfg in cfgs:
-        # cfg.xi is None exactly under SGG, whose owners have no followers.
+        # cfg.xi is None exactly under SGG: the threshold n is unreachable.
         worst, best = (cfg.p * _dominating_owner_sets(
-            cov, cfg.xi, side)[-1].bit_count()
+            cov, g.n if cfg.xi is None else cfg.xi, side)[-1].bit_count()
             for side in ("largest", "smallest"))
         reports.append(EfficiencyReport(
             opt_cost=opt.cost, worst_ne_cost=worst, best_ne_cost=best,
@@ -233,8 +235,8 @@ def empirical_cost_stats(rows) -> list[list[CostStats]]:
     for _, cfgs, runs, _ in rows:
         if runs < 1:
             raise ValueError("runs must be >= 1")
-        if len({(cfg.variant, cfg.k) for cfg in cfgs}) > 1:
-            raise ValueError("the configs must share variant and k")
+        if len({(cfg.variant, cfg.k) for cfg in cfgs}) != 1:
+            raise ValueError("give one or more configs, sharing variant and k")
     ends = {}
     for (row, xi, count, passes), m in best_response_grid(rows).items():
         ends.setdefault((row, xi), []).append((count, passes, m))

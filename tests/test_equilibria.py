@@ -16,8 +16,8 @@ from _oracles import (ball_masks, brute_force_ne_owner_masks,
                       brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
                       brute_force_sggac_ne_owner_sets, disjoint_union,
                       is_nash, largest_ne_extension, listed_ne_sizes,
-                      listing_follower_claims, random_graph,
-                      reference_dynamics)
+                      listing_dominating_owner_sets, listing_follower_claims,
+                      random_graph, reference_dynamics)
 from sharegoods import dynamics, equilibria, game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (DynamicsResult, _trajectories,
@@ -115,6 +115,14 @@ class TestSggacFeasibility:
         with pytest.raises(ValueError, match=f"node id {bad} is not in 0..2"):
             sggac_witness_profile(ng.chain(3), 1, 2, {1, bad})
 
+    @pytest.mark.parametrize("xi", [0, -3])
+    def test_witness_rejects_xi_below_1(self, xi):
+        """GameConfig's rule: a contested owner holds at least 1 follower."""
+        with pytest.raises(ValueError, match="xi must be between 1 and"):
+            sggac_witness_profile(ng.complete(4), 1, xi, {0, 1, 2, 3})
+        with pytest.raises(ValueError, match="xi must be between 1 and"):
+            sggac_owner_set_feasible(ng.complete(4), 1, xi, {0, 1, 2, 3})
+
     def test_witness_is_nash(self):
         rng = random.Random(23)
         checked = 0
@@ -188,7 +196,7 @@ class TestSggacEnumeration:
     def test_unreachable_threshold_is_sgg(self):
         """The paper's limit: once xi >= n - 1 no ball holds an owner, another
         owner and xi followers, so no owner is contested and SGG-AC's search
-        lists, and bounds, exactly as SGG's."""
+        lists, and bounds, exactly as SGG's k-independent listing."""
         rng = random.Random(43)
         for _ in range(100):
             n1 = rng.randint(2, 12)
@@ -196,11 +204,72 @@ class TestSggacEnumeration:
                                isolated=rng.randint(0, 12 - n1))
             for k in (1, 2):
                 cov = cover_masks(g, k)
-                for objective in (None, "smallest", "largest"):
-                    sgg = _dominating_owner_sets(cov, None, objective)
-                    for xi in (g.n - 1, g.n, g.n + 5):
-                        assert _dominating_owner_sets(
-                            cov, xi, objective) == sgg, (g.n, k, xi)
+                sgg = listing_dominating_owner_sets(
+                    cov, lambda i, chosen: cov[i] & chosen == 1 << i)
+                sizes = [m.bit_count() for m in sgg]
+                for xi in (g.n - 1, g.n, g.n + 5):
+                    assert _dominating_owner_sets(cov, xi) == sgg, (g.n, k, xi)
+                    for objective, extreme in (("smallest", min(sizes)),
+                                               ("largest", max(sizes))):
+                        last = _dominating_owner_sets(cov, xi, objective)[-1]
+                        assert last in sgg, (g.n, k, xi, objective)
+                        assert last.bit_count() == extreme, (g.n, k, xi)
+
+    def test_matches_ordered_listing(self):
+        """The search admits exactly what the listing's admit rules admit,
+        node by node: SGG-AC's follower claims at xi 1-4 and SGG's
+        k-independence at the unreachable threshold xi = n give the
+        listing's sets in its order, on graphs of up to 12 nodes in two
+        random parts plus isolated nodes."""
+        rng = random.Random(59)
+        for _ in range(40):
+            n1 = rng.randint(1, 10)
+            n2 = rng.randint(0, 10 - n1)
+            g = disjoint_union(random_graph(rng, n1, rng.random() * 0.7),
+                               random_graph(rng, n2, rng.random() * 0.7),
+                               isolated=rng.randint(0, 12 - n1 - n2))
+            for k in (1, 2, 3):
+                cov = ball_masks(g, k)
+                for xi in (1, 2, 3, 4):
+                    assert _dominating_owner_sets(cov, xi) == \
+                        listing_dominating_owner_sets(
+                            cov, lambda i, chosen: listing_follower_claims(
+                                cov, chosen, xi) is not None), (g.edges, k, xi)
+                assert _dominating_owner_sets(cov, g.n) == \
+                    listing_dominating_owner_sets(
+                        cov, lambda i, chosen: cov[i] & chosen == 1 << i), \
+                    (g.edges, k)
+
+    @staticmethod
+    def counted_claims(monkeypatch) -> list[int]:
+        """The owner masks of every later _follower_claims call."""
+        calls = []
+
+        def counted(cov, owners, xi):
+            calls.append(owners)
+            return _follower_claims(cov, owners, xi)
+        monkeypatch.setattr(equilibria, "_follower_claims", counted)
+        return calls
+
+    def test_sgg_makes_no_claims(self, monkeypatch):
+        """At the threshold xi = n no ball can hold a contested owner, so
+        an undominated join is admitted and a dominated one cut, both
+        without a follower matching."""
+        calls = self.counted_claims(monkeypatch)
+        for g, k in ((ng.karate(), 1), (ng.karate(), 2), (ng.star(50), 1)):
+            cov = cover_masks(g, k)
+            for objective in ("largest", "smallest"):
+                _dominating_owner_sets(cov, g.n, objective)
+            assert calls == [], (g.n, k)
+
+    def test_uncontested_joins_make_no_claims(self, monkeypatch):
+        """Karate's largest side at k = 1, xi = 5 (worst 20 owners) makes
+        the follower matching only for joins that contest an owner whose
+        ball can hold xi followers."""
+        calls = self.counted_claims(monkeypatch)
+        cov = cover_masks(ng.karate(), 1)
+        assert _dominating_owner_sets(cov, 5, "largest")[-1].bit_count() == 20
+        assert 0 < len(calls) < 100, len(calls)
 
     def test_failed_claims_fail_for_every_superset(self):
         """The enumerator cuts every extension of an owner set that fails
@@ -253,9 +322,10 @@ class TestUpperBound:
                 for cfg in [GameConfig(SGG, k)] + [
                         GameConfig(SGG_AC, k, xi=xi) for xi in (1, 2, 3, 4)]:
                     ne_masks = brute_force_ne_owner_masks(g, cfg)
-                    ok = 0 if cfg.variant == SGG else sum(
-                        1 << v for v in range(n)
-                        if bin(cov[v]).count("1") >= cfg.xi + 2)
+                    # SGG is the threshold xi = n, where ok is empty.
+                    xi = n if cfg.variant == SGG else cfg.xi
+                    ok = sum(1 << v for v in range(n)
+                             if bin(cov[v]).count("1") >= xi + 2)
                     for _ in range(10):
                         i = rng.randint(0, n)
                         # Half the states lie on an equilibrium's path.
@@ -275,7 +345,7 @@ class TestUpperBound:
                         undominated = sum(1 << v for v in range(n)
                                           if not cov[v] & chosen)
                         state = (cov, i, chosen, len(owners), unc,
-                                 undominated, cfg.xi)
+                                 undominated, xi)
                         bound = _largest_bound(*state, ok)
                         largest = largest_ne_extension(ne_masks, i, chosen)
                         assert bound >= largest, (g.n, g.edges, cfg, i,
@@ -397,11 +467,13 @@ class TestExactEfficiency:
             assert len(calls) == 1
 
     def test_grid_shares_k_and_p(self):
+        g = ng.star(5)
+        opt = min_dominating_exact(g, 1)
         for cfgs in ([GameConfig(SGG, 1), GameConfig(SGG, 2)],
                      [GameConfig(SGG_AC, 1, xi=2),
-                      GameConfig(SGG_AC, 1, p=1.5, xi=2)]):
+                      GameConfig(SGG_AC, 1, p=1.5, xi=2)], []):
             with pytest.raises(ValueError):
-                exact_reports(ng.star(5), cfgs)
+                exact_efficiency(g, cfgs, opt)
 
 
 class TestBoundFamilies:
@@ -466,7 +538,8 @@ class TestEmpiricalStats:
 
     def test_grid_shares_variant_and_k(self):
         for cfgs in ([GameConfig(SGG, 1), GameConfig(SGG_AC, 1, xi=2)],
-                     [GameConfig(SGG_AC, 1, xi=2), GameConfig(SGG_AC, 2, xi=2)]):
+                     [GameConfig(SGG_AC, 1, xi=2), GameConfig(SGG_AC, 2, xi=2)],
+                     []):
             with pytest.raises(ValueError):
                 empirical_cost_stats([(ng.star(5), cfgs, 2, 0)])
 
