@@ -83,8 +83,9 @@ def _dominating_owner_sets(cov: list[int], xi: int,
                                f"{searched - 1} nodes searched (its budget)")
         if objective == "largest" and _largest_bound(
                 cov, i, chosen, count, unc, undominated, xi, ok) <= best or (
-                objective == "smallest" and count + _disjoint_cover_bound(
-                    cov, undominated, (1 << i) - 1 & ~chosen)[0] >= best):
+                objective == "smallest" and _disjoint_cover_bound(
+                    cov, undominated, (1 << i) - 1 & ~chosen,
+                    best - count)[0] >= best - count):
             continue
         if i == n:
             masks.append(chosen)

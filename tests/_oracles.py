@@ -5,15 +5,18 @@ are the definition-level money comparisons, not `game.State`'s counts.
 (one `rng.choice` per move), so that the kernel's draws can be checked
 against it; `reference_min_dominating_exact` is the exact branch and bound
 with its earlier 2k-packing lower bound, whose owner sets the current bound
-must reproduce; `listed_ne_sizes` takes the largest and the smallest
-equilibrium owner set from the full listing that the exact efficiency
-analysis used before its two bounded searches; `reference_load_edge_list`
-is the edge-list loader with the per-edge set its graph once kept, so
-that the adjacency the library builds straight from the id columns is
-checked against an independent construction; `parse_profile` reads back
-what `game.serialize_profile` writes, which the program never does;
-`reference_stabilize` is the optimum repair as written before it ran on
-`game.State`, with its own owner set, pending set and follower recount."""
+must reproduce; `rebuilt_min_dominating_exact` is the branch and bound
+whose disjoint-coverer bound was rebuilt at every search node, which the
+incremental bound must match node for node; `listed_ne_sizes` takes the
+largest and the smallest equilibrium owner set from the full listing that
+the exact efficiency analysis used before its two bounded searches;
+`reference_load_edge_list` is the edge-list loader with the per-edge set
+its graph once kept, so that the adjacency the library builds straight
+from the id columns is checked against an independent construction;
+`parse_profile` reads back what `game.serialize_profile` writes, which the
+program never does; `reference_stabilize` is the optimum repair as
+written before it ran on `game.State`, with its own owner set, pending set
+and follower recount."""
 
 from __future__ import annotations
 
@@ -22,11 +25,11 @@ import random
 import re
 from collections import deque
 
-from sharegoods import game
+from sharegoods import game, optimum
 from sharegoods.dynamics import DynamicsResult
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
-from sharegoods.netgraph import Graph, ParseError
-from sharegoods.optimum import OptResult
+from sharegoods.netgraph import Graph, ParseError, connected_components
+from sharegoods.optimum import OptResult, cover_masks, min_dominating_greedy
 
 # Absolute tolerance for money comparisons. Because p/a is never an integer,
 # buy-vs-rent comparisons are bounded away from ties by at least a/2.
@@ -420,6 +423,80 @@ def reference_min_dominating_exact(g: Graph, k: int, p: float = 1.0,
                 proven = False
         owners |= incumbent
     return OptResult(owners=owners, cost=p * len(owners),
+                     proven_optimal=proven, nodes_explored=explored)
+
+
+# The branch and bound before its bound kept the packing keys across the
+# search, kept as the reference that the incremental bound must match
+# search node for search node: this bound rebuilds and sorts every
+# uncovered node's coverer mask at each node.
+
+def rebuilt_disjoint_cover_bound(cov: list[int], uncovered: int,
+                                 forbidden: int) -> tuple[int, int]:
+    avail = []
+    pick = pick_deg = 0
+    m = uncovered
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        a = cov[v] & ~forbidden
+        if not a:
+            return len(cov) + 1, 0
+        deg = a.bit_count()
+        if deg > pick_deg:
+            pick, pick_deg = a, deg
+        avail.append((deg, a))
+    avail.sort()
+    count = used = 0
+    for _, a in avail:
+        if not a & used:
+            used |= a
+            count += 1
+    return count, pick
+
+
+def rebuilt_min_dominating_exact(g: Graph, k: int,
+                                 p: float = 1.0) -> OptResult:
+    cov = cover_masks(g, k)
+    greedy = sum(1 << v for v in min_dominating_greedy(g, k))
+    explored = 0
+    owners = 0
+    proven = True
+    for comp in connected_components(g):
+        comp_mask = sum(1 << v for v in comp)
+        incumbent = greedy & comp_mask
+        best_size = incumbent.bit_count()
+        stack = [(0, 0, comp_mask, 0)] if proven else []
+        while stack:
+            size, chosen, uncovered, forbidden = stack.pop()
+            explored += 1
+            if explored > optimum.NODE_BUDGET:
+                proven = False
+                break
+            if uncovered == 0:
+                if size < best_size:
+                    best_size, incumbent = size, chosen
+                continue
+            bound, pick = rebuilt_disjoint_cover_bound(cov, uncovered,
+                                                       forbidden)
+            if size + bound >= best_size:
+                continue
+            candidates = []
+            m = pick
+            while m:
+                c = (m & -m).bit_length() - 1
+                m &= m - 1
+                candidates.append(c)
+            candidates.sort(key=lambda c: (-(cov[c] & uncovered).bit_count(),
+                                           c))
+            forbidden |= pick
+            for c in reversed(candidates):
+                forbidden ^= 1 << c
+                stack.append((size + 1, chosen | 1 << c,
+                              uncovered & ~cov[c], forbidden))
+        owners |= incumbent
+    owner_set = set(_members(owners))
+    return OptResult(owners=owner_set, cost=p * len(owner_set),
                      proven_optimal=proven, nodes_explored=explored)
 
 

@@ -1,9 +1,10 @@
 import random
 import sys
+import tracemalloc
 
 from _oracles import (ball_masks, disjoint_union, exhaustive_min_dominating,
-                      random_graph, reference_min_dominating_exact,
-                      scan_greedy_dominating)
+                      random_graph, rebuilt_min_dominating_exact,
+                      reference_min_dominating_exact, scan_greedy_dominating)
 from sharegoods import netgraph as ng
 from sharegoods import optimum
 from sharegoods.game import is_distance_k_dominating
@@ -144,40 +145,61 @@ class TestExactComponents:
         assert r.cost == len(r.owners)
 
 
+def bound_inputs():
+    """Random bound inputs on graphs of up to 10 nodes, some isolated:
+    (cov, covered, uncovered, forbidden), where covered[S] is the nodes
+    that the balls of the node subset S cover."""
+    rng = random.Random(17)
+    for trial in range(40):
+        g = random_graph(rng, rng.randint(1, 8), rng.random() * 0.5)
+        g = disjoint_union(g, isolated=trial % 3)
+        n = g.n
+        for k in (1, 2, 3):
+            cov = ball_masks(g, k)
+            covered = [0] * (1 << n)
+            for s in range(1, 1 << n):
+                low = s & -s
+                covered[s] = covered[s ^ low] | cov[low.bit_length() - 1]
+            for _ in range(6):
+                uncovered = rng.getrandbits(n)
+                forbidden = rng.getrandbits(n) & rng.getrandbits(n)
+                yield cov, covered, uncovered, forbidden
+
+
 class TestLowerBound:
     def test_never_exceeds_restricted_optimum(self):
-        # covered[S]: the nodes that the balls of the node subset S cover.
-        rng = random.Random(17)
-        for trial in range(40):
-            g = random_graph(rng, rng.randint(1, 8), rng.random() * 0.5)
-            g = disjoint_union(g, isolated=trial % 3)
-            n = g.n
-            for k in (1, 2, 3):
-                cov = ball_masks(g, k)
-                covered = [0] * (1 << n)
-                for s in range(1, 1 << n):
-                    low = s & -s
-                    covered[s] = covered[s ^ low] | cov[low.bit_length() - 1]
-                for _ in range(6):
-                    uncovered = rng.getrandbits(n)
-                    forbidden = rng.getrandbits(n) & rng.getrandbits(n)
-                    sizes = [s.bit_count() for s in range(1 << n)
-                             if not s & forbidden
-                             and covered[s] & uncovered == uncovered]
-                    bound, pick = _disjoint_cover_bound(cov, uncovered,
-                                                        forbidden)
-                    if sizes:
-                        assert bound <= min(sizes)
-                    else:
-                        assert (bound, pick) == (n + 1, 0)
-                        continue
-                    # The branching node: the lowest-id uncovered node with
-                    # the most available coverers.
-                    avail = [cov[v] & ~forbidden for v in range(n)
-                             if uncovered >> v & 1]
-                    degs = [a.bit_count() for a in avail]
-                    want = avail[degs.index(max(degs))] if avail else 0
-                    assert pick == want
+        for cov, covered, uncovered, forbidden in bound_inputs():
+            n = len(cov)
+            sizes = [s.bit_count() for s in range(1 << n)
+                     if not s & forbidden
+                     and covered[s] & uncovered == uncovered]
+            bound, pick = _disjoint_cover_bound(cov, uncovered, forbidden)
+            if sizes:
+                assert bound <= min(sizes)
+            else:
+                assert (bound, pick) == (n + 1, 0)
+                continue
+            # The branching node: the lowest-id uncovered node with the
+            # most available coverers.
+            avail = [cov[v] & ~forbidden for v in range(n)
+                     if uncovered >> v & 1]
+            degs = [a.bit_count() for a in avail]
+            want = avail[degs.index(max(degs))] if avail else 0
+            assert pick == want
+
+    def test_cap_stops_the_packing_where_it_prunes(self):
+        # The B&B prunes when the bound reaches its cap; below the cap the
+        # capped bound must name the same bound and branching node.
+        for cov, _, uncovered, forbidden in bound_inputs():
+            n = len(cov)
+            full = _disjoint_cover_bound(cov, uncovered, forbidden)
+            for cap in range(-1, n + 3):
+                capped = _disjoint_cover_bound(cov, uncovered, forbidden, cap)
+                assert (capped[0] >= cap) == (full[0] >= cap)
+                if full[0] < cap:
+                    assert capped == full
+                elif cap > 0 and full[0] <= n:
+                    assert capped[0] == cap
 
     def test_proves_sparse_er_within_small_budget(self, monkeypatch):
         # The earlier 2k-ball packing bound ran past these budgets. The node
@@ -191,6 +213,54 @@ class TestLowerBound:
             r = min_dominating_exact(g, 1)
             assert r.proven_optimal and r.cost == expected
             assert r.nodes_explored == nodes
+
+
+class TestSameSearchAsRebuiltBound:
+    """The bound kept across the search visits the same search nodes as the
+    bound rebuilt at each of them, at the full budget and when it runs
+    out, and holds its keys' undo entries in memory that grows with the
+    search depth."""
+
+    def test_random_graphs_node_for_node(self, monkeypatch):
+        rng = random.Random(29)
+        full = optimum.NODE_BUDGET
+        for trial in range(300):
+            g = random_graph(rng, rng.randint(1, 40), rng.random() * 0.3)
+            if trial % 3 == 0:
+                g = disjoint_union(g, random_graph(rng, rng.randint(1, 8), 0.3),
+                                   isolated=rng.randint(1, 3))
+            k = rng.randint(1, 3)
+            for budget in (full, rng.randint(1, 40)):
+                monkeypatch.setattr(optimum, "NODE_BUDGET", budget)
+                r = min_dominating_exact(g, k)
+                ref = rebuilt_min_dominating_exact(g, k)
+                assert (r.owners, r.cost, r.proven_optimal,
+                        r.nodes_explored) == (ref.owners, ref.cost,
+                                              ref.proven_optimal,
+                                              ref.nodes_explored)
+
+    def test_peak_memory_within_twice_the_rebuilt_search(self, monkeypatch):
+        # The undo entries hold keys along the current path only; a copy of
+        # the key array per pending child would hold n slots per child.
+        rng = random.Random(3)
+        pairs: set[tuple[int, int]] = set()
+        while len(pairs) < 4000:
+            u, v = rng.randrange(1000), rng.randrange(1000)
+            if u != v:
+                pairs.add((min(u, v), max(u, v)))
+        g = ng.Graph(1000, sorted(pairs))
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 2_000)
+        peaks = []
+        for search in (rebuilt_min_dominating_exact, min_dominating_exact):
+            search(g, 1)    # first-call allocations stay out of the peak
+            tracemalloc.start()
+            try:
+                r = search(g, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert not r.proven_optimal and r.nodes_explored == 2_001
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 class TestSameOwnersAsReference:
