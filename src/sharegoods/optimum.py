@@ -131,7 +131,7 @@ def _pack(keys: list[int], n: int, w: int, cap: int) -> tuple[int, int]:
 
 
 def _disjoint_cover_bound(cov: list[int], uncovered: int, forbidden: int,
-                          cap: int | None = None) -> tuple[int, int]:
+                          cap: int) -> tuple[int, int]:
     """Lower bound on the number of nodes outside `forbidden` whose balls
     `cov` cover `uncovered`, or len(cov) + 1 if no such set exists, and the
     available coverers (ball minus `forbidden`) of the lowest-id uncovered
@@ -139,9 +139,9 @@ def _disjoint_cover_bound(cov: list[int], uncovered: int, forbidden: int,
 
     Uncovered nodes whose available coverers are pairwise disjoint each need
     their own coverer; they are packed greedily by _pack, fewest coverers
-    first, ties by the coverer mask. Given `cap`, the packing stops at cap
-    nodes: the bound reaches cap exactly when the full packing does, and
-    below it is the full packing's.
+    first, ties by the coverer mask. The packing stops at `cap` nodes: the
+    bound reaches cap exactly when the full packing does, and below it is
+    the full packing's; cap len(cov) + 1 gives the full packing.
     """
     n = len(cov)
     w = n.bit_length()
@@ -153,7 +153,7 @@ def _disjoint_cover_bound(cov: list[int], uncovered: int, forbidden: int,
         a = cov[v] & ~forbidden
         keys.append((a.bit_count() << n | a) << w | v + 1)
     keys.sort()
-    return _pack(keys, n, w, n + 1 if cap is None else cap)
+    return _pack(keys, n, w, cap)
 
 
 def _search(balls: Sequence[Sequence[int]], incumbent: int, explored: int,
@@ -246,9 +246,7 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
             local[v] = i
         best = sum(1 << i for i, v in enumerate(comp) if v in greedy)
         if explored <= budget:
-            # A component that is the whole graph keeps its ids and balls.
             best, explored = _search(
-                balls if len(comp) == g.n else
                 [[local[u] for u in balls[v]] for v in comp],
                 best, explored, budget)
         owners.update(comp[i] for i in _members(best))

@@ -173,7 +173,8 @@ class TestLowerBound:
             sizes = [s.bit_count() for s in range(1 << n)
                      if not s & forbidden
                      and covered[s] & uncovered == uncovered]
-            bound, pick = _disjoint_cover_bound(cov, uncovered, forbidden)
+            bound, pick = _disjoint_cover_bound(cov, uncovered, forbidden,
+                                                n + 1)
             if sizes:
                 assert bound <= min(sizes)
             else:
@@ -192,7 +193,7 @@ class TestLowerBound:
         # capped bound must name the same bound and branching node.
         for cov, _, uncovered, forbidden in bound_inputs():
             n = len(cov)
-            full = _disjoint_cover_bound(cov, uncovered, forbidden)
+            full = _disjoint_cover_bound(cov, uncovered, forbidden, n + 1)
             for cap in range(-1, n + 3):
                 capped = _disjoint_cover_bound(cov, uncovered, forbidden, cap)
                 assert (capped[0] >= cap) == (full[0] >= cap)
