@@ -1,12 +1,14 @@
-"""Efficiency analysis: one search over distance-k dominating owner sets
-that lists the equilibrium owner sets or finds the smallest and largest,
-SGG-AC feasibility as a follower matching, exact PoA/PoS, and Monte Carlo
-cost statistics."""
+"""Efficiency analysis: the join rule of equilibrium owner sets, one
+search over distance-k dominating owner sets that lists them or finds the
+largest, the smallest from the optimum's branch and bound under the same
+rule, SGG-AC feasibility as a follower matching, exact PoA/PoS, and Monte
+Carlo cost statistics."""
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from functools import partial
 
 from . import optimum
 # Nothing here calls best_response_dynamics or min_dominating_exact:
@@ -15,8 +17,7 @@ from . import optimum
 from .dynamics import best_response_dynamics, best_response_grid
 from .game import SGG_AC, GameConfig, check_node
 from .netgraph import Graph
-from .optimum import (OptResult, _disjoint_cover_bound, _members,
-                      cover_masks, min_dominating_exact)
+from .optimum import OptResult, _members, cover_masks, min_dominating_exact
 
 
 @dataclass
@@ -38,38 +39,50 @@ class CostStats:
     mean_passes: float
 
 
-def _dominating_owner_sets(cov: list[int], xi: int,
-                           objective: str | None = None) -> list[int]:
-    """Equilibrium owner sets, as bitmasks, given the closed k-ball masks
-    cov and xi, the followers each contested owner holds under SGG-AC: all
-    of them with no objective; with "smallest" or "largest", each one that
-    beats the one before it, so the last is an extreme. SGG is the
-    threshold xi = n, which no ball can hold, so no owner is contested.
+def _admits(cov: list[int], i: int, chosen: int, xi: int, ok: int) -> bool:
+    """The join rule: whether node i may join the owners of the bitmask
+    chosen, given the k-ball masks cov, xi and ok = _capacity(cov, xi).
+    It refuses when _follower_claims fails on chosen and i, for then every
+    superset fails too: the join stays refused below. Exactly, and with no
+    claims, an i with no chosen owner in its ball is admitted (balls are
+    symmetric, so i contests no owner and was no follower), and any other
+    i is refused if it or an owner in its ball is not in ok: each is now
+    contested, and its ball cannot hold it, another owner and xi
+    followers. Under SGG (xi = n) ok is empty: no claims are made.
+    """
+    if not cov[i] & chosen:
+        return True
+    with_i = chosen | 1 << i
+    return not cov[i] & with_i & ~ok and \
+        _follower_claims(cov, with_i, xi) is not None
 
-    Nodes are decided in id order. Excluding node i is cut when some node
-    whose highest-id potential dominator is i is still undominated.
-    Including i is cut when _follower_claims fails on the owners chosen so
-    far, i among them, for then every set that extends them fails too. Two
-    joins are decided without it, exactly:
-    - an undominated i is admitted. Balls are symmetric, so i lies in no
-      owner's ball: it contests no owner and was no follower, and the
-      admitted parent's claims stand;
-    - a dominated i is cut if it or an owner in its ball is not in ok.
-      Each of those is now contested, and a ball that cannot hold its
-      owner, another owner and xi followers fails the claims.
-    Under SGG ok is empty, so the claims are never made. "smallest" cuts
-    on the B&B's disjoint-coverer bound, "largest" on _largest_bound; a
-    search of more than optimum.NODE_BUDGET nodes raises a RuntimeError.
+
+def _capacity(cov: list[int], xi: int) -> int:
+    """The nodes that can be contested owners: their ball holds xi + 2."""
+    return sum(1 << v for v, c in enumerate(cov) if c.bit_count() >= xi + 2)
+
+
+_STOPPED = ("the equilibrium search stopped after {} "
+            "nodes searched (its budget)")
+
+
+def _dominating_owner_sets(cov: list[int], xi: int,
+                           largest: bool = False) -> list[int]:
+    """Equilibrium owner sets, as bitmasks, given the closed k-ball masks
+    cov and xi (SGG at xi = n): all of them, or if largest, each one that
+    beats the one before it, so the last is the largest. Nodes are decided
+    in id order. Excluding node i is cut when some node whose highest-id
+    potential dominator is i is still undominated, including it when
+    _admits refuses, and the largest side cuts on _largest_bound. Past
+    optimum.NODE_BUDGET nodes it raises RuntimeError.
     """
     n = len(cov)
-    # The nodes that can be contested owners: the ball of one holds it,
-    # another owner and its xi followers.
-    ok = sum(1 << v for v in range(n) if cov[v].bit_count() >= xi + 2)
+    ok = _capacity(cov, xi)
     due = [0] * n
     for u in range(n):
         due[cov[u].bit_length() - 1] |= 1 << u
     masks: list[int] = []
-    best = n + 1 if objective == "smallest" else -1
+    best = -1
     searched = 0
     # A search node: the next node to decide, the chosen owners, the
     # undominated nodes, unc (the chosen owners with no other chosen owner in
@@ -79,13 +92,9 @@ def _dominating_owner_sets(cov: list[int], xi: int,
         i, chosen, undominated, unc, count = stack.pop()
         searched += 1
         if searched > optimum.NODE_BUDGET:
-            raise RuntimeError(f"the equilibrium search stopped after "
-                               f"{searched - 1} nodes searched (its budget)")
-        if objective == "largest" and _largest_bound(
-                cov, i, chosen, count, unc, undominated, xi, ok) <= best or (
-                objective == "smallest" and _disjoint_cover_bound(
-                    cov, undominated, (1 << i) - 1 & ~chosen,
-                    best - count)[0] >= best - count):
+            raise RuntimeError(_STOPPED.format(searched - 1))
+        if largest and _largest_bound(
+                cov, i, chosen, count, unc, undominated, xi, ok) <= best:
             continue
         if i == n:
             masks.append(chosen)
@@ -93,13 +102,22 @@ def _dominating_owner_sets(cov: list[int], xi: int,
             continue
         if not undominated & due[i]:
             stack.append((i + 1, chosen, undominated, unc, count))
-        with_i = chosen | 1 << i
-        if undominated >> i & 1 or not cov[i] & with_i & ~ok and \
-                _follower_claims(cov, with_i, xi) is not None:
-            stack.append((i + 1, with_i, undominated & ~cov[i],
+        if _admits(cov, i, chosen, xi, ok):
+            stack.append((i + 1, chosen | 1 << i, undominated & ~cov[i],
                           (unc & ~cov[i]) | (undominated & 1 << i),
                           count + 1))
     return masks
+
+
+def _smallest_owner_set(g: Graph, k: int, xi: int) -> set[int]:
+    """A smallest equilibrium owner set (SGG at xi = n): the optimum's
+    branch and bound from no owners, with _admits as its admit test. Past
+    optimum.NODE_BUDGET nodes it raises RuntimeError."""
+    owners, searched = optimum._min_cover(g, k, None, lambda cov: partial(
+        _admits, cov, xi=xi, ok=_capacity(cov, xi)))
+    if searched > optimum.NODE_BUDGET:
+        raise RuntimeError(_STOPPED.format(searched - 1))
+    return owners
 
 
 def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
@@ -204,20 +222,23 @@ def sggac_owner_set_feasible(g: Graph, k: int, xi: int,
 
 def exact_efficiency(g: Graph, cfgs: list[GameConfig],
                      opt: OptResult) -> list[EfficiencyReport]:
-    """Exact worst/best equilibrium costs against opt, the optimum at the
-    configs' k and p, one report per config. The configs must share k and
-    p, so that the one optimum serves them all."""
+    """Exact worst/best equilibrium costs against opt, the proven optimum
+    at the configs' k and p, one report per config. The configs must share
+    k and p, so that the one optimum serves them all."""
     if len({(cfg.k, cfg.p) for cfg in cfgs}) != 1:
         raise ValueError("give one or more configs, sharing k and p")
     if g.n == 0:
         raise ValueError("exact_efficiency needs at least one node")
+    if not opt.proven_optimal:
+        raise RuntimeError(f"exact PoA/PoS need a proven optimum; its search "
+                           f"stopped after {opt.nodes_explored} nodes")
     cov = cover_masks(g, cfgs[0].k)
     reports = []
     for cfg in cfgs:
         # cfg.xi is None exactly under SGG: the threshold n is unreachable.
-        worst, best = (cfg.p * _dominating_owner_sets(
-            cov, g.n if cfg.xi is None else cfg.xi, side)[-1].bit_count()
-            for side in ("largest", "smallest"))
+        xi = g.n if cfg.xi is None else cfg.xi
+        worst = cfg.p * _dominating_owner_sets(cov, xi, True)[-1].bit_count()
+        best = cfg.p * len(_smallest_owner_set(g, cfg.k, xi))
         reports.append(EfficiencyReport(
             opt_cost=opt.cost, worst_ne_cost=worst, best_ne_cost=best,
             poa=worst / opt.cost, pos=best / opt.cost))

@@ -2,30 +2,21 @@
 dominating set, plus export of the covering integer program in LP format.
 
 The exact solver is a branch-and-bound over include/exclude decisions with
-bitset coverage masks, run on each connected component separately. The
-upper bound is seeded by the greedy heuristic, a lazy max-heap greedy in
-O(sum |ball| * log n) whose ties go to the lowest id. The lower bound packs
-uncovered nodes whose available coverers (their closed k-hop ball minus the
-nodes excluded on the current branch) are pairwise disjoint, scarcest
-first: each packed node needs a distinct new owner. It is never larger
-than the optimum below the search node, so it prunes nothing that holds a
-strictly better set, and the owners found are those of the plain search.
-The packing's sorted tail also names the branching node.
+bitset coverage masks, run on each connected component separately from
+the greedy set, a lazy max-heap greedy in O(sum |ball| * log n) whose ties
+go to the lowest id. The lower bound packs uncovered nodes whose available
+coverers (their closed k-hop ball minus the nodes excluded on the current
+branch) are pairwise disjoint, scarcest first: each packed node needs a
+distinct new owner, so the bound prunes nothing that holds a strictly
+better set. The packing's sorted tail also names the branching node. It
+reads one key per node, kept across the search (see _pack and _search):
+at k = 1, er_random(100, 0.06, 1) takes 120,203 nodes in 1.5 s, and 3.3 s
+with the keys rebuilt at each search node (best of 5, CPython 3.11.7, one
+core of a shared 2-vCPU machine).
 
-The packing reads one key per node, kept across the search rather than
-rebuilt at each search node: (deg << n | avail) << w | (v + 1) for an
-uncovered node v with available coverers avail, deg of them, and
-w = n.bit_length(); 0 for a covered node. Sorted, the keys are the
-packing order. A child zeroes only the keys of the nodes its owner
-covers, and its later siblings take that owner out of the same keys; an
-entry on the search stack under the child's own children undoes each
-change, so the saved keys grow with the search depth, not with the stack.
-The packing stops once it holds as many nodes as prune the search node.
-The search nodes, and so the owners and the node counts, are those of
-the rebuilt bound. At k = 1, er_random(100, 0.06, 1) takes 120,203 nodes
-in 1.5 s, where the rebuilt bound took 3.3 s (best of 5), and
-er_random(120, 0.05, 1) 594,758 nodes in 8.1 s against 18.9 s (CPython
-3.11.7, one core of a shared 2-vCPU machine).
+The same search, from no owners and with an admit test that cuts the
+children whose join it refuses, finds the smallest equilibrium owner set
+(equilibria._smallest_owner_set).
 """
 
 from __future__ import annotations
@@ -130,38 +121,15 @@ def _pack(keys: list[int], n: int, w: int, cap: int) -> tuple[int, int]:
     return count, (pick ^ top) >> w
 
 
-def _disjoint_cover_bound(cov: list[int], uncovered: int, forbidden: int,
-                          cap: int) -> tuple[int, int]:
-    """Lower bound on the number of nodes outside `forbidden` whose balls
-    `cov` cover `uncovered`, or len(cov) + 1 if no such set exists, and the
-    available coverers (ball minus `forbidden`) of the lowest-id uncovered
-    node that has the most of them, the B&B's branching node.
-
-    Uncovered nodes whose available coverers are pairwise disjoint each need
-    their own coverer; they are packed greedily by _pack, fewest coverers
-    first, ties by the coverer mask. The packing stops at `cap` nodes: the
-    bound reaches cap exactly when the full packing does, and below it is
-    the full packing's; cap len(cov) + 1 gives the full packing.
-    """
-    n = len(cov)
-    w = n.bit_length()
-    keys = []
-    m = uncovered
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        a = cov[v] & ~forbidden
-        keys.append((a.bit_count() << n | a) << w | v + 1)
-    keys.sort()
-    return _pack(keys, n, w, cap)
-
-
-def _search(balls: Sequence[Sequence[int]], incumbent: int, explored: int,
-            budget: int) -> tuple[int, int]:
+def _search(balls: Sequence[Sequence[int]], incumbent: int | None,
+            explored: int, budget: int, admit=None) -> tuple[int | None, int]:
     """Branch and bound over one connected component whose nodes are
     0..m-1 and whose closed balls are `balls`, from the owner bitmask
-    `incumbent`: the smallest owner set found and the search-node count
-    carried on from `explored`, above `budget` if the search stopped.
+    `incumbent` or from none: the smallest owner set found (None if none
+    was) and the search-node count carried on from `explored`, above
+    `budget` if the search stopped. admit, if given, takes the ball masks
+    and returns a test of a join of c to the owners chosen: a refused c is
+    no child, and must stay refused below, so the packing bounds the rest.
 
     K holds the _pack key of every node uncovered at the current search
     node and 0 for a covered one. A child zeroes the keys of the nodes its
@@ -173,8 +141,9 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int, explored: int,
     m = len(balls)
     w = m.bit_length()
     cov = _ball_masks(balls)
+    test = admit and admit(cov)
     K = [(c.bit_count() << m | c) << w | v + 1 for v, c in enumerate(cov)]
-    best_size = incumbent.bit_count()
+    best_size = m + 1 if incumbent is None else incumbent.bit_count()
     # A search node: the owner count, the owners, the uncovered nodes, the
     # ball of its last owner, and that owner if later siblings forbid it,
     # else None. A restore entry: the saved keys and the same owner or None.
@@ -208,7 +177,10 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int, explored: int,
         while pick:
             c = (pick & -pick).bit_length() - 1
             pick &= pick - 1
-            candidates.append(c)
+            if test is None or test(c, chosen):
+                candidates.append(c)
+        if not candidates:
+            continue
         candidates.sort(key=lambda c: (-(cov[c] & uncovered).bit_count(), c))
         last = candidates.pop()
         stack.append(({v: K[v] for c in candidates for v in balls[c] if K[v]},
@@ -221,37 +193,43 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int, explored: int,
     return incumbent, explored
 
 
-def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
-    """Exact minimum distance-k dominating set by branch-and-bound.
-
-    Each connected component is searched on its own, starting from the
-    greedy set restricted to it, and the component optima are united. A
-    component's nodes are renumbered 0..m-1 in id order, which keeps the
-    order of ids and of coverer masks, so every tie of the search. The
-    search loops over an explicit stack, so no recursion limit caps its
-    depth. NODE_BUDGET, read at each call, is shared by all components:
-    once the search exceeds it, the current and the remaining components
-    keep their incumbents and the result is flagged proven_optimal=False.
+def _min_cover(g: Graph, k: int, start: set[int] | None,
+               admit=None) -> tuple[set[int], int]:
+    """The smallest distance-k dominating set that admit lets through (see
+    _search), searched from the owners start or from none, and the search
+    nodes explored, above NODE_BUDGET if the search stopped. Balls never
+    cross components, so each is searched apart, renumbered 0..m-1 in id
+    order (which keeps every tie of the search); they share NODE_BUDGET,
+    read at each call, and once it is exceeded the rest keep their start.
     """
     budget = NODE_BUDGET
     balls = g.closed_neighborhoods(k)
-    greedy = min_dominating_greedy(g, k)
     explored = 0
     local = [0] * g.n
     owners: set[int] = set()
-    # Balls never cross components, so the optimum is the union of the
-    # component optima; searching them apart avoids a product search tree.
     for comp in connected_components(g):
         for i, v in enumerate(comp):
             local[v] = i
-        best = sum(1 << i for i, v in enumerate(comp) if v in greedy)
+        best = None if start is None else sum(
+            1 << i for i, v in enumerate(comp) if v in start)
         if explored <= budget:
             best, explored = _search(
                 [[local[u] for u in balls[v]] for v in comp],
-                best, explored, budget)
+                best, explored, budget, admit)
+        if best is None:    # stopped before it found a set
+            break
         owners.update(comp[i] for i in _members(best))
+    return owners, explored
+
+
+def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
+    """Exact minimum distance-k dominating set by branch-and-bound from
+    the greedy set, on an explicit stack, so no recursion limit caps its
+    depth. Past NODE_BUDGET it is flagged proven_optimal=False.
+    """
+    owners, explored = _min_cover(g, k, min_dominating_greedy(g, k))
     return OptResult(owners=owners, cost=p * len(owners),
-                     proven_optimal=explored <= budget,
+                     proven_optimal=explored <= NODE_BUDGET,
                      nodes_explored=explored)
 
 

@@ -7,9 +7,12 @@ against it; `reference_min_dominating_exact` is the exact branch and bound
 with its earlier 2k-packing lower bound, whose owner sets the current bound
 must reproduce; `rebuilt_min_dominating_exact` is the branch and bound
 whose disjoint-coverer bound was rebuilt at every search node, which the
-incremental bound must match node for node; `listed_ne_sizes` takes the
-largest and the smallest equilibrium owner set from the full listing that
-the exact efficiency analysis used before its two bounded searches;
+incremental bound must match node for node;
+`id_order_smallest_owner_set` is the id-order search that found the
+smallest equilibrium before the branch and bound did; `listed_ne_sizes`
+takes the largest and the smallest equilibrium owner set from the full
+listing that the exact efficiency analysis used before its two bounded
+searches;
 `reference_load_edge_list` is the edge-list loader with the per-edge set
 its graph once kept, so that the adjacency the library builds straight
 from the id columns is checked against an independent construction;
@@ -498,6 +501,49 @@ def rebuilt_min_dominating_exact(g: Graph, k: int,
     owner_set = set(_members(owners))
     return OptResult(owners=owner_set, cost=p * len(owner_set),
                      proven_optimal=proven, nodes_explored=explored)
+
+
+# The smallest side of the exact efficiency analysis before it ran as the
+# optimum's branch and bound under the join rule: the id-order search over
+# dominating owner sets, pruned by the disjoint-coverer bound. Kept as it
+# stood but for the smallest objective alone, with the tests' own
+# `listing_follower_claims` and `rebuilt_disjoint_cover_bound` (whose
+# prune is that of the capped bound) and no node budget.
+
+def id_order_smallest_owner_set(cov: list[int], xi: int) -> int:
+    """A smallest equilibrium owner set, as a bitmask, given the closed
+    k-ball masks cov and xi (SGG at xi = n)."""
+    n = len(cov)
+    # The nodes that can be contested owners: the ball of one holds it,
+    # another owner and its xi followers.
+    ok = sum(1 << v for v in range(n) if cov[v].bit_count() >= xi + 2)
+    due = [0] * n
+    for u in range(n):
+        due[cov[u].bit_length() - 1] |= 1 << u
+    masks: list[int] = []
+    best = n + 1
+    # A search node: the next node to decide, the chosen owners, the
+    # undominated nodes, unc (the chosen owners with no other chosen owner in
+    # their ball) and the owner count. Include is pushed last: it runs first.
+    stack = [(0, 0, (1 << n) - 1, 0, 0)]
+    while stack:
+        i, chosen, undominated, unc, count = stack.pop()
+        if rebuilt_disjoint_cover_bound(
+                cov, undominated, (1 << i) - 1 & ~chosen)[0] >= best - count:
+            continue
+        if i == n:
+            masks.append(chosen)
+            best = count
+            continue
+        if not undominated & due[i]:
+            stack.append((i + 1, chosen, undominated, unc, count))
+        with_i = chosen | 1 << i
+        if undominated >> i & 1 or not cov[i] & with_i & ~ok and \
+                listing_follower_claims(cov, with_i, xi) is not None:
+            stack.append((i + 1, with_i, undominated & ~cov[i],
+                          (unc & ~cov[i]) | (undominated & 1 << i),
+                          count + 1))
+    return masks[-1]
 
 
 # The dynamics before `game.State.sweep`, kept as the reference that the

@@ -305,6 +305,41 @@ class TestErrors:
         assert "100 nodes searched" in err
         assert not out.exists()
 
+    def test_smallest_side_budget(self, tmp_path, capsys, monkeypatch):
+        """SGG on er_random(50, 0.1, 0) at k = 1: the optimum (630 nodes)
+        and the largest side (1,071) fit 2,000 nodes, and the smallest
+        side (3,380) does not. Its branch and bound ends the run in one
+        error line naming the nodes searched."""
+        g = ng.er_random(50, 0.1, 0)
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 2000)
+        assert min_dominating_exact(g, 1).proven_optimal
+        equilibria._dominating_owner_sets(optimum.cover_masks(g, 1), g.n,
+                                          True)
+        out = tmp_path / "out.csv"
+        cfg_path = tmp_path / "exp.conf"
+        cfg_path.write_text("family = er_random\nn = 50\nprob = 0.1\n"
+                            "graph_seed = 0\nanalyses = exact_efficiency\n"
+                            f"out = {out}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: the equilibrium search stopped after 2000 "
+                       "nodes searched (its budget)\n")
+        assert not out.exists()
+
+    def test_unproven_optimum(self, tmp_path, capsys, monkeypatch):
+        """An optimum that ran out of nodes gives no exact PoA/PoS: the
+        run ends in one error line and writes no CSV."""
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 0)
+        out = tmp_path / "out.csv"
+        cfg_path = tmp_path / "exp.conf"
+        cfg_path.write_text("family = karate\nanalyses = exact_efficiency\n"
+                            f"out = {out}\n")
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "proven optimum" in err
+        assert not out.exists()
+
     def test_stabilize_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("stabilize repair loop failed to terminate")

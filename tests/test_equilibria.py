@@ -15,6 +15,7 @@ import pytest
 from _oracles import (ball_masks, brute_force_ne_owner_masks,
                       brute_force_sgg_ne_owner_sets, brute_force_sggac_ne_exists,
                       brute_force_sggac_ne_owner_sets, disjoint_union,
+                      id_order_smallest_owner_set, is_k_independent_dominating,
                       is_nash, largest_ne_extension, listed_ne_sizes,
                       listing_dominating_owner_sets, listing_follower_claims,
                       random_graph, reference_dynamics)
@@ -23,13 +24,14 @@ from sharegoods import netgraph as ng
 from sharegoods.dynamics import (DynamicsResult, _trajectories,
                                 best_response_grid, derive_seed)
 from sharegoods.equilibria import (_dominating_owner_sets, _follower_claims,
-                                   _largest_bound, empirical_cost_stats,
+                                   _largest_bound, _smallest_owner_set,
+                                   empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
 from sharegoods.cli import main
 from sharegoods.game import SGG, SGG_AC, GameConfig
-from sharegoods.optimum import cover_masks, min_dominating_exact
+from sharegoods.optimum import OptResult, cover_masks, min_dominating_exact
 
 
 def exact_reports(g, cfgs):
@@ -209,10 +211,13 @@ class TestSggacEnumeration:
                 sizes = [m.bit_count() for m in sgg]
                 for xi in (g.n - 1, g.n, g.n + 5):
                     assert _dominating_owner_sets(cov, xi) == sgg, (g.n, k, xi)
-                    for objective, extreme in (("smallest", min(sizes)),
-                                               ("largest", max(sizes))):
-                        last = _dominating_owner_sets(cov, xi, objective)[-1]
-                        assert last in sgg, (g.n, k, xi, objective)
+                    smallest = sum(1 << v
+                                   for v in _smallest_owner_set(g, k, xi))
+                    largest = _dominating_owner_sets(cov, xi, True)[-1]
+                    for side, last, extreme in (
+                            ("smallest", smallest, min(sizes)),
+                            ("largest", largest, max(sizes))):
+                        assert last in sgg, (g.n, k, xi, side)
                         assert last.bit_count() == extreme, (g.n, k, xi)
 
     def test_matches_ordered_listing(self):
@@ -257,9 +262,8 @@ class TestSggacEnumeration:
         without a follower matching."""
         calls = self.counted_claims(monkeypatch)
         for g, k in ((ng.karate(), 1), (ng.karate(), 2), (ng.star(50), 1)):
-            cov = cover_masks(g, k)
-            for objective in ("largest", "smallest"):
-                _dominating_owner_sets(cov, g.n, objective)
+            _dominating_owner_sets(cover_masks(g, k), g.n, True)
+            _smallest_owner_set(g, k, g.n)
             assert calls == [], (g.n, k)
 
     def test_uncontested_joins_make_no_claims(self, monkeypatch):
@@ -268,7 +272,7 @@ class TestSggacEnumeration:
         ball can hold xi followers."""
         calls = self.counted_claims(monkeypatch)
         cov = cover_masks(ng.karate(), 1)
-        assert _dominating_owner_sets(cov, 5, "largest")[-1].bit_count() == 20
+        assert _dominating_owner_sets(cov, 5, True)[-1].bit_count() == 20
         assert 0 < len(calls) < 100, len(calls)
 
     def test_failed_claims_fail_for_every_superset(self):
@@ -441,6 +445,38 @@ class TestExactEfficiency:
                 for cfg, report in zip(cfgs, exact_reports(g, cfgs)):
                     assert (report.worst_ne_cost, report.best_ne_cost) == \
                         listed_ne_sizes(g, cfg), (g.n, g.edges, cfg)
+
+    def test_smallest_matches_id_order_search(self):
+        """The smallest side, the optimum's branch and bound under the join
+        rule, gives the size of the id-order search it replaced, and an
+        equilibrium owner set, on graphs of up to 30 nodes (a third of
+        them disconnected) at k = 1-3 and xi 1, 2, 3, 5 and n (SGG)."""
+        rng = random.Random(61)
+        for trial in range(150):
+            n1 = rng.randint(1, 30)
+            g = random_graph(rng, n1, rng.random() * 0.3)
+            if trial % 3 == 0 and n1 < 30:
+                n2 = rng.randint(1, 30 - n1)
+                g = disjoint_union(g, random_graph(rng, n2, 0.3),
+                                   isolated=rng.randint(0, 30 - n1 - n2))
+            k = rng.randint(1, 3)
+            cov = ball_masks(g, k)
+            for xi in (1, 2, 3, 5, g.n):
+                owners = _smallest_owner_set(g, k, xi)
+                assert len(owners) == id_order_smallest_owner_set(
+                    cov, xi).bit_count(), (g.n, g.edges, k, xi)
+                if xi == g.n:
+                    assert is_k_independent_dominating(g, k, owners)
+                else:
+                    assert sggac_witness_profile(g, k, xi, owners) is not None
+
+    def test_refuses_unproven_optimum(self):
+        g = ng.star(5)
+        unproven = OptResult(owners={0}, cost=1.0, proven_optimal=False,
+                             nodes_explored=3)
+        for cfg in (GameConfig(SGG, 1), GameConfig(SGG_AC, 1, xi=2)):
+            with pytest.raises(RuntimeError, match="proven optimum"):
+                exact_efficiency(g, [cfg], unproven)
 
     def test_grid_equals_single_configs(self, monkeypatch):
         """A grid returns the reports of one call per config, from the

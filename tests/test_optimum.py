@@ -8,8 +8,8 @@ from _oracles import (ball_masks, disjoint_union, exhaustive_min_dominating,
 from sharegoods import netgraph as ng
 from sharegoods import optimum
 from sharegoods.game import is_distance_k_dominating
-from sharegoods.optimum import (_disjoint_cover_bound, export_ilp,
-                                min_dominating_exact, min_dominating_greedy)
+from sharegoods.optimum import (_pack, export_ilp, min_dominating_exact,
+                                min_dominating_greedy)
 
 
 class TestGreedy:
@@ -166,6 +166,19 @@ def bound_inputs():
                 yield cov, covered, uncovered, forbidden
 
 
+def packing(cov, uncovered, forbidden, cap):
+    """optimum._pack over the sorted keys (deg << n | avail) << w | (v + 1)
+    of the uncovered nodes, avail being a node's ball less forbidden."""
+    n = len(cov)
+    w = n.bit_length()
+    keys = []
+    for v in range(n):
+        if uncovered >> v & 1:
+            a = cov[v] & ~forbidden
+            keys.append((a.bit_count() << n | a) << w | v + 1)
+    return _pack(sorted(keys), n, w, cap)
+
+
 class TestLowerBound:
     def test_never_exceeds_restricted_optimum(self):
         for cov, covered, uncovered, forbidden in bound_inputs():
@@ -173,8 +186,7 @@ class TestLowerBound:
             sizes = [s.bit_count() for s in range(1 << n)
                      if not s & forbidden
                      and covered[s] & uncovered == uncovered]
-            bound, pick = _disjoint_cover_bound(cov, uncovered, forbidden,
-                                                n + 1)
+            bound, pick = packing(cov, uncovered, forbidden, n + 1)
             if sizes:
                 assert bound <= min(sizes)
             else:
@@ -193,9 +205,9 @@ class TestLowerBound:
         # capped bound must name the same bound and branching node.
         for cov, _, uncovered, forbidden in bound_inputs():
             n = len(cov)
-            full = _disjoint_cover_bound(cov, uncovered, forbidden, n + 1)
+            full = packing(cov, uncovered, forbidden, n + 1)
             for cap in range(-1, n + 3):
-                capped = _disjoint_cover_bound(cov, uncovered, forbidden, cap)
+                capped = packing(cov, uncovered, forbidden, cap)
                 assert (capped[0] >= cap) == (full[0] >= cap)
                 if full[0] < cap:
                     assert capped == full
