@@ -1,8 +1,8 @@
 """Efficiency analysis: the join rule of equilibrium owner sets, one
 search over distance-k dominating owner sets that lists them or finds the
-largest, the smallest from the optimum's branch and bound under the same
-rule, SGG-AC feasibility as a follower matching, exact PoA/PoS, and Monte
-Carlo cost statistics."""
+largest, SGG-AC feasibility as a follower matching, exact PoA/PoS from the
+largest and the smallest (the optimum's branch and bound under the same
+rule) on each component apart, and Monte Carlo cost statistics."""
 
 from __future__ import annotations
 
@@ -62,19 +62,16 @@ def _capacity(cov: list[int], xi: int) -> int:
     return sum(1 << v for v, c in enumerate(cov) if c.bit_count() >= xi + 2)
 
 
-_STOPPED = ("the equilibrium search stopped after {} "
-            "nodes searched (its budget)")
-
-
-def _dominating_owner_sets(cov: list[int], xi: int,
-                           largest: bool = False) -> list[int]:
+def _dominating_owner_sets(cov: list[int], xi: int, explored: int,
+                           budget: int,
+                           largest: bool = False) -> tuple[list[int], int]:
     """Equilibrium owner sets, as bitmasks, given the closed k-ball masks
     cov and xi (SGG at xi = n): all of them, or if largest, each one that
-    beats the one before it, so the last is the largest. Nodes are decided
-    in id order. Excluding node i is cut when some node whose highest-id
-    potential dominator is i is still undominated, including it when
-    _admits refuses, and the largest side cuts on _largest_bound. Past
-    optimum.NODE_BUDGET nodes it raises RuntimeError.
+    beats the one before it, so the last is the largest; and the node
+    count carried on from explored, above budget if it stopped. Nodes are
+    decided in id order. Excluding node i is cut when some node whose
+    highest-id potential dominator is i is still undominated, including
+    it when _admits refuses, and the largest side cuts on _largest_bound.
     """
     n = len(cov)
     ok = _capacity(cov, xi)
@@ -83,16 +80,15 @@ def _dominating_owner_sets(cov: list[int], xi: int,
         due[cov[u].bit_length() - 1] |= 1 << u
     masks: list[int] = []
     best = -1
-    searched = 0
     # A search node: the next node to decide, the chosen owners, the
     # undominated nodes, unc (the chosen owners with no other chosen owner in
     # their ball) and the owner count. Include is pushed last: it runs first.
     stack = [(0, 0, (1 << n) - 1, 0, 0)]
     while stack:
         i, chosen, undominated, unc, count = stack.pop()
-        searched += 1
-        if searched > optimum.NODE_BUDGET:
-            raise RuntimeError(_STOPPED.format(searched - 1))
+        explored += 1
+        if explored > budget:
+            break
         if largest and _largest_bound(
                 cov, i, chosen, count, unc, undominated, xi, ok) <= best:
             continue
@@ -106,18 +102,20 @@ def _dominating_owner_sets(cov: list[int], xi: int,
             stack.append((i + 1, chosen | 1 << i, undominated & ~cov[i],
                           (unc & ~cov[i]) | (undominated & 1 << i),
                           count + 1))
-    return masks
+    return masks, explored
 
 
-def _smallest_owner_set(g: Graph, k: int, xi: int) -> set[int]:
-    """A smallest equilibrium owner set (SGG at xi = n): the optimum's
-    branch and bound from no owners, with _admits as its admit test. Past
-    optimum.NODE_BUDGET nodes it raises RuntimeError."""
-    owners, searched = optimum._min_cover(g, k, None, lambda cov: partial(
-        _admits, cov, xi=xi, ok=_capacity(cov, xi)))
-    if searched > optimum.NODE_BUDGET:
-        raise RuntimeError(_STOPPED.format(searched - 1))
-    return owners
+def _largest_search(xi: int, balls, start, explored: int, budget: int):
+    """The largest side's search for optimum._by_component."""
+    masks, explored = _dominating_owner_sets(
+        optimum._ball_masks(balls), xi, explored, budget, True)
+    return (masks or [None])[-1], explored
+
+
+def _smallest_search(xi: int, balls, start, explored: int, budget: int):
+    """The smallest side's search: the optimum's B&B under _admits."""
+    return optimum._search(balls, start, explored, budget, lambda c: partial(
+        _admits, c, xi=xi, ok=_capacity(c, xi)))
 
 
 def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
@@ -152,8 +150,10 @@ def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
 
 def enumerate_ne_owner_sets_sgg(g: Graph, k: int) -> list[frozenset]:
     """All k-independent dominating sets, smallest first."""
-    cov = cover_masks(g, k)
-    masks = _dominating_owner_sets(cov, len(cov))
+    budget = optimum.NODE_BUDGET
+    masks, searched = _dominating_owner_sets(cover_masks(g, k), g.n, 0, budget)
+    if searched > budget:
+        raise RuntimeError(f"the SGG listing stopped after {budget} nodes")
     return sorted((frozenset(_members(m)) for m in masks),
                   key=lambda s: (len(s), sorted(s)))
 
@@ -232,16 +232,23 @@ def exact_efficiency(g: Graph, cfgs: list[GameConfig],
     if not opt.proven_optimal:
         raise RuntimeError(f"exact PoA/PoS need a proven optimum; its search "
                            f"stopped after {opt.nodes_explored} nodes")
-    cov = cover_masks(g, cfgs[0].k)
     reports = []
     for cfg in cfgs:
         # cfg.xi is None exactly under SGG: the threshold n is unreachable.
         xi = g.n if cfg.xi is None else cfg.xi
-        worst = cfg.p * _dominating_owner_sets(cov, xi, True)[-1].bit_count()
-        best = cfg.p * len(_smallest_owner_set(g, cfg.k, xi))
-        reports.append(EfficiencyReport(
-            opt_cost=opt.cost, worst_ne_cost=worst, best_ne_cost=best,
-            poa=worst / opt.cost, pos=best / opt.cost))
+        game = cfg.variant if cfg.xi is None else f"{cfg.variant}, xi={xi}"
+        sizes = []
+        for side, search in (("largest", partial(_largest_search, xi)),
+                             ("smallest", partial(_smallest_search, xi))):
+            owners, searched = optimum._by_component(g, cfg.k, search)
+            if searched > optimum.NODE_BUDGET:
+                raise RuntimeError(
+                    f"the {side} equilibrium search ({game}) stopped after "
+                    f"{searched - 1} nodes searched (its budget)")
+            sizes.append(cfg.p * len(owners))
+        worst, best = sizes
+        reports.append(EfficiencyReport(opt.cost, worst, best,
+                                        worst / opt.cost, best / opt.cost))
     return reports
 
 

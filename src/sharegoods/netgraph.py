@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -267,17 +266,13 @@ def connected_components(g: Graph) -> list[list[int]]:
     seen = [False] * g.n
     comps = []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        dq = deque([start])
-        while dq:
-            v = dq.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    dq.append(w)
-        comps.append(sorted(comp))
+        if not seen[start]:
+            seen[start] = True
+            comp = [start]
+            for v in comp:    # breadth first: comp grows as it is read
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(sorted(comp))
     return comps

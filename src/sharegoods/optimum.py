@@ -14,9 +14,9 @@ at k = 1, er_random(100, 0.06, 1) takes 120,203 nodes in 1.5 s, and 3.3 s
 with the keys rebuilt at each search node (best of 5, CPython 3.11.7, one
 core of a shared 2-vCPU machine).
 
-The same search, from no owners and with an admit test that cuts the
-children whose join it refuses, finds the smallest equilibrium owner set
-(equilibria._smallest_owner_set).
+_by_component runs each exact search on one component at a time: this one
+for the optimum, and (see equilibria.exact_efficiency) for the smallest and
+the largest equilibrium owner sets.
 """
 
 from __future__ import annotations
@@ -193,29 +193,26 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int | None,
     return incumbent, explored
 
 
-def _min_cover(g: Graph, k: int, start: set[int] | None,
-               admit=None) -> tuple[set[int], int]:
-    """The smallest distance-k dominating set that admit lets through (see
-    _search), searched from the owners start or from none, and the search
-    nodes explored, above NODE_BUDGET if the search stopped. Balls never
-    cross components, so each is searched apart, renumbered 0..m-1 in id
-    order (which keeps every tie of the search); they share NODE_BUDGET,
-    read at each call, and once it is exceeded the rest keep their start.
-    """
-    budget = NODE_BUDGET
+def _by_component(g: Graph, k: int, search,
+                  start: set[int] | None = None) -> tuple[set[int], int]:
+    """The owners search finds on the connected components of g, and the
+    search nodes explored, above NODE_BUDGET if it stopped. Balls never
+    cross components: search(balls, best, explored, budget) gets one's
+    closed k-balls renumbered 0..m-1 in id order (which keeps every tie),
+    start's owners there as a bitmask or None, and the count so far, and
+    returns its owner bitmask (None if it found none) and the count carried
+    on. Components share NODE_BUDGET, read at each call; past it the rest
+    keep their start."""
+    budget, explored = NODE_BUDGET, 0
     balls = g.closed_neighborhoods(k)
-    explored = 0
-    local = [0] * g.n
     owners: set[int] = set()
     for comp in connected_components(g):
-        for i, v in enumerate(comp):
-            local[v] = i
+        local = {v: i for i, v in enumerate(comp)}
         best = None if start is None else sum(
             1 << i for i, v in enumerate(comp) if v in start)
         if explored <= budget:
-            best, explored = _search(
-                [[local[u] for u in balls[v]] for v in comp],
-                best, explored, budget, admit)
+            best, explored = search([[local[u] for u in balls[v]]
+                                     for v in comp], best, explored, budget)
         if best is None:    # stopped before it found a set
             break
         owners.update(comp[i] for i in _members(best))
@@ -227,7 +224,8 @@ def min_dominating_exact(g: Graph, k: int, p: float = 1.0) -> OptResult:
     the greedy set, on an explicit stack, so no recursion limit caps its
     depth. Past NODE_BUDGET it is flagged proven_optimal=False.
     """
-    owners, explored = _min_cover(g, k, min_dominating_greedy(g, k))
+    owners, explored = _by_component(g, k, _search,
+                                     min_dominating_greedy(g, k))
     return OptResult(owners=owners, cost=p * len(owners),
                      proven_optimal=explored <= NODE_BUDGET,
                      nodes_explored=explored)

@@ -1,4 +1,5 @@
 import csv
+import functools
 
 import pytest
 
@@ -313,8 +314,8 @@ class TestErrors:
         g = ng.er_random(50, 0.1, 0)
         monkeypatch.setattr(optimum, "NODE_BUDGET", 2000)
         assert min_dominating_exact(g, 1).proven_optimal
-        equilibria._dominating_owner_sets(optimum.cover_masks(g, 1), g.n,
-                                          True)
+        assert optimum._by_component(g, 1, functools.partial(
+            equilibria._largest_search, g.n))[1] == 1071
         out = tmp_path / "out.csv"
         cfg_path = tmp_path / "exp.conf"
         cfg_path.write_text("family = er_random\nn = 50\nprob = 0.1\n"
@@ -322,8 +323,8 @@ class TestErrors:
                             f"out = {out}\n")
         assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: the equilibrium search stopped after 2000 "
-                       "nodes searched (its budget)\n")
+        assert err == ("error: the smallest equilibrium search (SGG) stopped "
+                       "after 2000 nodes searched (its budget)\n")
         assert not out.exists()
 
     def test_unproven_optimum(self, tmp_path, capsys, monkeypatch):

@@ -19,13 +19,13 @@ from _oracles import (ball_masks, brute_force_ne_owner_masks,
                       is_nash, largest_ne_extension, listed_ne_sizes,
                       listing_dominating_owner_sets, listing_follower_claims,
                       random_graph, reference_dynamics)
-from sharegoods import dynamics, equilibria, game
+from sharegoods import dynamics, equilibria, game, optimum
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (DynamicsResult, _trajectories,
                                 best_response_grid, derive_seed)
 from sharegoods.equilibria import (_dominating_owner_sets, _follower_claims,
-                                   _largest_bound, _smallest_owner_set,
-                                   empirical_cost_stats,
+                                   _largest_bound, _largest_search,
+                                   _smallest_search, empirical_cost_stats,
                                    enumerate_ne_owner_sets_sgg,
                                    exact_efficiency, sggac_owner_set_feasible,
                                    sggac_witness_profile)
@@ -38,6 +38,24 @@ def exact_reports(g, cfgs):
     """exact_efficiency for cfgs, handed the optimum at their k and p."""
     return exact_efficiency(g, cfgs,
                             min_dominating_exact(g, cfgs[0].k, p=cfgs[0].p))
+
+
+def listed(cov, xi, largest=False):
+    """The masks of _dominating_owner_sets on the whole graph, from a fresh
+    count that stays within the node budget."""
+    masks, searched = _dominating_owner_sets(cov, xi, 0, optimum.NODE_BUDGET,
+                                             largest)
+    assert searched <= optimum.NODE_BUDGET
+    return masks
+
+
+def side_owners(g, k, xi, search):
+    """The owner set of _largest_search or _smallest_search at xi, run one
+    component at a time as exact_efficiency runs it."""
+    owners, searched = optimum._by_component(g, k,
+                                             functools.partial(search, xi))
+    assert searched <= optimum.NODE_BUDGET
+    return owners
 
 
 def ends(tally, row, xi):
@@ -75,6 +93,15 @@ class TestEnumeration:
         independent dominating sets have 10 to 15 nodes."""
         sizes = {len(s) for s in enumerate_ne_owner_sets_sgg(ng.chain(30), 1)}
         assert sizes == set(range(10, 16))
+
+    def test_budget(self, monkeypatch):
+        """The listing searches chain(8) in 42 nodes; one fewer ends in
+        RuntimeError."""
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 42)
+        assert len(enumerate_ne_owner_sets_sgg(ng.chain(8), 1)) == 9
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 41)
+        with pytest.raises(RuntimeError, match="stopped after 41 nodes"):
+            enumerate_ne_owner_sets_sgg(ng.chain(8), 1)
 
     def test_matches_brute_force(self):
         rng = random.Random(17)
@@ -186,7 +213,7 @@ class TestSggacEnumeration:
                 for xi in (1, 2, 3, 4):
                     cfg = GameConfig(SGG_AC, k, xi=xi)
                     expected = brute_force_sggac_ne_owner_sets(g, cfg)
-                    masks = _dominating_owner_sets(cov, xi)
+                    masks = listed(cov, xi)
                     assert len(masks) == len(set(masks)) == len(expected)
                     assert {frozenset(i for i in range(g.n) if m >> i & 1)
                             for m in masks} == expected
@@ -210,13 +237,16 @@ class TestSggacEnumeration:
                     cov, lambda i, chosen: cov[i] & chosen == 1 << i)
                 sizes = [m.bit_count() for m in sgg]
                 for xi in (g.n - 1, g.n, g.n + 5):
-                    assert _dominating_owner_sets(cov, xi) == sgg, (g.n, k, xi)
-                    smallest = sum(1 << v
-                                   for v in _smallest_owner_set(g, k, xi))
-                    largest = _dominating_owner_sets(cov, xi, True)[-1]
+                    assert listed(cov, xi) == sgg, (g.n, k, xi)
+                    smallest, by_component = (
+                        sum(1 << v for v in side_owners(g, k, xi, search))
+                        for search in (_smallest_search, _largest_search))
+                    largest = listed(cov, xi, True)[-1]
                     for side, last, extreme in (
                             ("smallest", smallest, min(sizes)),
-                            ("largest", largest, max(sizes))):
+                            ("largest", largest, max(sizes)),
+                            ("largest by component", by_component,
+                             max(sizes))):
                         assert last in sgg, (g.n, k, xi, side)
                         assert last.bit_count() == extreme, (g.n, k, xi)
 
@@ -236,11 +266,11 @@ class TestSggacEnumeration:
             for k in (1, 2, 3):
                 cov = ball_masks(g, k)
                 for xi in (1, 2, 3, 4):
-                    assert _dominating_owner_sets(cov, xi) == \
+                    assert listed(cov, xi) == \
                         listing_dominating_owner_sets(
                             cov, lambda i, chosen: listing_follower_claims(
                                 cov, chosen, xi) is not None), (g.edges, k, xi)
-                assert _dominating_owner_sets(cov, g.n) == \
+                assert listed(cov, g.n) == \
                     listing_dominating_owner_sets(
                         cov, lambda i, chosen: cov[i] & chosen == 1 << i), \
                     (g.edges, k)
@@ -262,8 +292,9 @@ class TestSggacEnumeration:
         without a follower matching."""
         calls = self.counted_claims(monkeypatch)
         for g, k in ((ng.karate(), 1), (ng.karate(), 2), (ng.star(50), 1)):
-            _dominating_owner_sets(cover_masks(g, k), g.n, True)
-            _smallest_owner_set(g, k, g.n)
+            listed(cover_masks(g, k), g.n, True)
+            side_owners(g, k, g.n, _largest_search)
+            side_owners(g, k, g.n, _smallest_search)
             assert calls == [], (g.n, k)
 
     def test_uncontested_joins_make_no_claims(self, monkeypatch):
@@ -272,7 +303,7 @@ class TestSggacEnumeration:
         ball can hold xi followers."""
         calls = self.counted_claims(monkeypatch)
         cov = cover_masks(ng.karate(), 1)
-        assert _dominating_owner_sets(cov, 5, True)[-1].bit_count() == 20
+        assert listed(cov, 5, True)[-1].bit_count() == 20
         assert 0 < len(calls) < 100, len(calls)
 
     def test_failed_claims_fail_for_every_superset(self):
@@ -428,6 +459,36 @@ class TestExactEfficiency:
             assert (report.worst_ne_cost, report.best_ne_cost,
                     report.opt_cost) == (50, 34, 34)
 
+    def test_components_share_one_budget(self, monkeypatch):
+        """Two disjoint copies of karate at k = 1, xi = 5: each side runs
+        one component at a time, so the largest side searches 65,492 nodes,
+        twice karate's 32,746 (in id order over the whole graph it took
+        6.88M), and the smallest side 72. The copies share one budget: past
+        32,746 + 1 nodes the second copy stops, and the run raises."""
+        g = disjoint_union(ng.karate(), ng.karate())
+        cfgs = [GameConfig(SGG_AC, 1, xi=5)]
+        opt = min_dominating_exact(g, 1)
+        assert (opt.cost, opt.proven_optimal, opt.nodes_explored) == \
+            (8, True, 2)
+        for search, size, nodes in ((_largest_search, 40, 65_492),
+                                    (_smallest_search, 8, 72)):
+            owners, searched = optimum._by_component(
+                g, 1, functools.partial(search, 5))
+            assert (len(owners), searched) == (size, nodes)
+        monkeypatch.setattr(optimum, "NODE_BUDGET", 100_000)
+        report = exact_efficiency(g, cfgs, opt)[0]
+        assert (report.worst_ne_cost, report.best_ne_cost, report.opt_cost,
+                report.poa, report.pos) == (40, 8, 8, 5, 1)
+        for budget in (65_491, 32_746 + 1):
+            monkeypatch.setattr(optimum, "NODE_BUDGET", budget)
+            with pytest.raises(RuntimeError, match=(
+                    rf"^the largest equilibrium search \(SGG-AC, xi=5\) "
+                    rf"stopped after {budget} nodes searched \(its budget\)$")):
+                exact_efficiency(g, cfgs, opt)
+        karate = ng.karate()
+        assert exact_efficiency(karate, cfgs, min_dominating_exact(
+            karate, 1))[0].worst_ne_cost == 20
+
     def test_matches_listing(self):
         """The two bounded searches give the largest and the smallest
         owner set of the full listing, on graphs of up to 14 nodes in two
@@ -462,7 +523,7 @@ class TestExactEfficiency:
             k = rng.randint(1, 3)
             cov = ball_masks(g, k)
             for xi in (1, 2, 3, 5, g.n):
-                owners = _smallest_owner_set(g, k, xi)
+                owners = side_owners(g, k, xi, _smallest_search)
                 assert len(owners) == id_order_smallest_owner_set(
                     cov, xi).bit_count(), (g.n, g.edges, k, xi)
                 if xi == g.n:
