@@ -114,6 +114,7 @@ def _experiment_rows(config: ExperimentConfig, stats: list,
     g = config.graph
     cfgs = config.cfgs
     analyses = config.analyses
+    log = sys.stdout if config.out else sys.stderr    # not into a CSV
     opt = None
     if {"optimum", "exact_efficiency", "stabilize"} & set(analyses):
         key = (g, config.k, config.p)
@@ -126,7 +127,7 @@ def _experiment_rows(config: ExperimentConfig, stats: list,
     if "export_lp" in analyses:    # the LP depends on the graph, k and p
         path = _side_path(config, None, ".lp")
         path.write_text(export_ilp(g, config.k, config.p))
-        print(f"export_lp {config.dataset} k={config.k} -> {path}")
+        print(f"export_lp {config.dataset} k={config.k} -> {path}", file=log)
     rows = []
     for cfg, st, report in zip(cfgs, stats, reports):
         row = {c: "" for c in CSV_COLUMNS}
@@ -156,7 +157,7 @@ def _experiment_rows(config: ExperimentConfig, stats: list,
             path = _side_path(config, cfg.xi, ".stabilized.profile")
             path.write_text(game.serialize_profile(profile))
             print(f"stabilize {config.dataset} xi={cfg.xi}: "
-                  f"cost={_fmt(cost)} -> {path}")
+                  f"cost={_fmt(cost)} -> {path}", file=log)
         rows.append(row)
     return rows
 

@@ -1,8 +1,8 @@
 """Efficiency analysis: the join rule of equilibrium owner sets, one
 search over distance-k dominating owner sets that lists them or finds the
 largest, SGG-AC feasibility as a follower matching, exact PoA/PoS from the
-largest and the smallest (the optimum's branch and bound under the same
-rule) on each component apart, and Monte Carlo cost statistics."""
+largest and the smallest (the optimum's B&B under the same rule) on each
+component from the stabilized optimum, and Monte Carlo cost statistics."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from . import optimum
 # Nothing here calls best_response_dynamics or min_dominating_exact:
 # benchmarks/tracing.py wraps this module's bindings of them, so the
 # imports stay.
-from .dynamics import best_response_dynamics, best_response_grid
-from .game import SGG_AC, GameConfig, check_node
+from .dynamics import best_response_dynamics, best_response_grid, stabilize
+from .game import SGG_AC, GameConfig, check_node, owners
 from .netgraph import Graph
 from .optimum import OptResult, _members, cover_masks, min_dominating_exact
 
@@ -64,22 +64,21 @@ def _capacity(cov: list[int], xi: int) -> int:
 
 def _dominating_owner_sets(cov: list[int], xi: int, explored: int,
                            budget: int,
-                           largest: bool = False) -> tuple[list[int], int]:
+                           start: int | None = None) -> tuple[list[int], int]:
     """Equilibrium owner sets, as bitmasks, given the closed k-ball masks
-    cov and xi (SGG at xi = n): all of them, or if largest, each one that
-    beats the one before it, so the last is the largest; and the node
-    count carried on from explored, above budget if it stopped. Nodes are
-    decided in id order. Excluding node i is cut when some node whose
-    highest-id potential dominator is i is still undominated, including
-    it when _admits refuses, and the largest side cuts on _largest_bound.
+    cov and xi (SGG at xi = n): all, or start and each that beats the one
+    before it, so the last is the largest; and the node count carried on
+    from explored, above budget if it stopped. Nodes go in id order.
+    Excluding node i is cut when some node whose highest-id potential
+    dominator is i is still undominated, including it when _admits
+    refuses, and a search from start cuts on _largest_bound.
     """
     n = len(cov)
     ok = _capacity(cov, xi)
     due = [0] * n
     for u in range(n):
         due[cov[u].bit_length() - 1] |= 1 << u
-    masks: list[int] = []
-    best = -1
+    masks, best = ([], -1) if start is None else ([start], start.bit_count())
     # A search node: the next node to decide, the chosen owners, the
     # undominated nodes, unc (the chosen owners with no other chosen owner in
     # their ball) and the owner count. Include is pushed last: it runs first.
@@ -89,7 +88,7 @@ def _dominating_owner_sets(cov: list[int], xi: int, explored: int,
         explored += 1
         if explored > budget:
             break
-        if largest and _largest_bound(
+        if start is not None and _largest_bound(
                 cov, i, chosen, count, unc, undominated, xi, ok) <= best:
             continue
         if i == n:
@@ -108,8 +107,8 @@ def _dominating_owner_sets(cov: list[int], xi: int, explored: int,
 def _largest_search(xi: int, balls, start, explored: int, budget: int):
     """The largest side's search for optimum._by_component."""
     masks, explored = _dominating_owner_sets(
-        optimum._ball_masks(balls), xi, explored, budget, True)
-    return (masks or [None])[-1], explored
+        optimum._ball_masks(balls), xi, explored, budget, start)
+    return masks[-1], explored
 
 
 def _smallest_search(xi: int, balls, start, explored: int, budget: int):
@@ -224,7 +223,8 @@ def exact_efficiency(g: Graph, cfgs: list[GameConfig],
                      opt: OptResult) -> list[EfficiencyReport]:
     """Exact worst/best equilibrium costs against opt, the proven optimum
     at the configs' k and p, one report per config. The configs must share
-    k and p, so that the one optimum serves them all."""
+    k and p, so that the one optimum serves them all. Both sides start
+    from opt's owners stabilized at xi (n under SGG: k-independent)."""
     if len({(cfg.k, cfg.p) for cfg in cfgs}) != 1:
         raise ValueError("give one or more configs, sharing k and p")
     if g.n == 0:
@@ -237,15 +237,17 @@ def exact_efficiency(g: Graph, cfgs: list[GameConfig],
         # cfg.xi is None exactly under SGG: the threshold n is unreachable.
         xi = g.n if cfg.xi is None else cfg.xi
         game = cfg.variant if cfg.xi is None else f"{cfg.variant}, xi={xi}"
+        ac = GameConfig(SGG_AC, cfg.k, xi=xi)
+        start = owners(ac, stabilize(g, ac, opt.owners))
         sizes = []
         for side, search in (("largest", partial(_largest_search, xi)),
                              ("smallest", partial(_smallest_search, xi))):
-            owners, searched = optimum._by_component(g, cfg.k, search)
+            found, searched = optimum._by_component(g, cfg.k, search, start)
             if searched > optimum.NODE_BUDGET:
                 raise RuntimeError(
                     f"the {side} equilibrium search ({game}) stopped after "
                     f"{searched - 1} nodes searched (its budget)")
-            sizes.append(cfg.p * len(owners))
+            sizes.append(cfg.p * len(found))
         worst, best = sizes
         reports.append(EfficiencyReport(opt.cost, worst, best,
                                         worst / opt.cost, best / opt.cost))

@@ -14,9 +14,9 @@ at k = 1, er_random(100, 0.06, 1) takes 120,203 nodes in 1.5 s, and 3.3 s
 with the keys rebuilt at each search node (best of 5, CPython 3.11.7, one
 core of a shared 2-vCPU machine).
 
-_by_component runs each exact search on one component at a time: this one
-for the optimum, and (see equilibria.exact_efficiency) for the smallest and
-the largest equilibrium owner sets.
+_by_component runs each exact search one component at a time from a set
+it must beat: the optimum from the greedy set, and both equilibrium sides
+(equilibria.exact_efficiency) from the stabilized optimum.
 """
 
 from __future__ import annotations
@@ -121,12 +121,12 @@ def _pack(keys: list[int], n: int, w: int, cap: int) -> tuple[int, int]:
     return count, (pick ^ top) >> w
 
 
-def _search(balls: Sequence[Sequence[int]], incumbent: int | None,
-            explored: int, budget: int, admit=None) -> tuple[int | None, int]:
+def _search(balls: Sequence[Sequence[int]], incumbent: int,
+            explored: int, budget: int, admit=None) -> tuple[int, int]:
     """Branch and bound over one connected component whose nodes are
     0..m-1 and whose closed balls are `balls`, from the owner bitmask
-    `incumbent` or from none: the smallest owner set found (None if none
-    was) and the search-node count carried on from `explored`, above
+    `incumbent`: the smallest owner set found (`incumbent` if none is
+    smaller) and the search-node count carried on from `explored`, above
     `budget` if the search stopped. admit, if given, takes the ball masks
     and returns a test of a join of c to the owners chosen: a refused c is
     no child, and must stay refused below, so the packing bounds the rest.
@@ -143,7 +143,7 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int | None,
     cov = _ball_masks(balls)
     test = admit and admit(cov)
     K = [(c.bit_count() << m | c) << w | v + 1 for v, c in enumerate(cov)]
-    best_size = m + 1 if incumbent is None else incumbent.bit_count()
+    best_size = incumbent.bit_count()
     # A search node: the owner count, the owners, the uncovered nodes, the
     # ball of its last owner, and that owner if later siblings forbid it,
     # else None. A restore entry: the saved keys and the same owner or None.
@@ -194,27 +194,24 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int | None,
 
 
 def _by_component(g: Graph, k: int, search,
-                  start: set[int] | None = None) -> tuple[set[int], int]:
-    """The owners search finds on the connected components of g, and the
-    search nodes explored, above NODE_BUDGET if it stopped. Balls never
-    cross components: search(balls, best, explored, budget) gets one's
-    closed k-balls renumbered 0..m-1 in id order (which keeps every tie),
-    start's owners there as a bitmask or None, and the count so far, and
-    returns its owner bitmask (None if it found none) and the count carried
-    on. Components share NODE_BUDGET, read at each call; past it the rest
-    keep their start."""
+                  start: set[int]) -> tuple[set[int], int]:
+    """The owners search finds on the connected components of g from the
+    owners start, and the search nodes explored, above NODE_BUDGET if it
+    stopped. Balls never cross components: search(balls, best, explored,
+    budget) gets one's closed k-balls renumbered 0..m-1 in id order (which
+    keeps every tie), start's owners there as a bitmask, and the count so
+    far, and returns an owner bitmask at least as good as best and the
+    count carried on. Components share NODE_BUDGET, read at each call;
+    past it the rest keep their start."""
     budget, explored = NODE_BUDGET, 0
     balls = g.closed_neighborhoods(k)
     owners: set[int] = set()
     for comp in connected_components(g):
         local = {v: i for i, v in enumerate(comp)}
-        best = None if start is None else sum(
-            1 << i for i, v in enumerate(comp) if v in start)
+        best = sum(1 << i for i, v in enumerate(comp) if v in start)
         if explored <= budget:
             best, explored = search([[local[u] for u in balls[v]]
                                      for v in comp], best, explored, budget)
-        if best is None:    # stopped before it found a set
-            break
         owners.update(comp[i] for i in _members(best))
     return owners, explored
 

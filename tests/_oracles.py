@@ -19,7 +19,9 @@ from the id columns is checked against an independent construction;
 `parse_profile` reads back what `game.serialize_profile` writes, which the
 program never does; `reference_stabilize` is the optimum repair as
 written before it ran on `game.State`, with its own owner set, pending set
-and follower recount."""
+and follower recount. `stabilized_start` is no oracle: it is the program's
+own start for both equilibrium sides, for the tests that call the
+per-component driver without `exact_efficiency`."""
 
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import re
 from collections import deque
 
 from sharegoods import game, optimum
-from sharegoods.dynamics import DynamicsResult
+from sharegoods.dynamics import DynamicsResult, stabilize
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
 from sharegoods.netgraph import Graph, ParseError, connected_components
 from sharegoods.optimum import OptResult, cover_masks, min_dominating_greedy
@@ -307,6 +309,14 @@ def listed_ne_sizes(g: Graph, cfg: GameConfig) -> tuple[int, int]:
             listing_follower_claims(cov, chosen, cfg.xi) is not None)
     sizes = [m.bit_count() for m in masks]
     return max(sizes), min(sizes)
+
+
+def stabilized_start(g: Graph, k: int, xi: int) -> set[int]:
+    """The owners `exact_efficiency` starts both equilibrium sides from:
+    the exact optimum at k stabilized under SGG-AC at xi (g.n for SGG)."""
+    cfg = GameConfig(SGG_AC, k, xi=xi)
+    opt = optimum.min_dominating_exact(g, k)
+    return game.owners(cfg, stabilize(g, cfg, opt.owners))
 
 
 def disjoint_union(*graphs: Graph, isolated: int = 0) -> Graph:

@@ -3,6 +3,7 @@ import functools
 
 import pytest
 
+from _oracles import stabilized_start
 from sharegoods import cli, equilibria, optimum
 from sharegoods import netgraph as ng
 from sharegoods.cli import (CSV_COLUMNS, KNOWN_ANALYSES, ExperimentConfig,
@@ -314,8 +315,9 @@ class TestErrors:
         g = ng.er_random(50, 0.1, 0)
         monkeypatch.setattr(optimum, "NODE_BUDGET", 2000)
         assert min_dominating_exact(g, 1).proven_optimal
+        start = stabilized_start(g, 1, g.n)
         assert optimum._by_component(g, 1, functools.partial(
-            equilibria._largest_search, g.n))[1] == 1071
+            equilibria._largest_search, g.n), start)[1] == 1071
         out = tmp_path / "out.csv"
         cfg_path = tmp_path / "exp.conf"
         cfg_path.write_text("family = er_random\nn = 50\nprob = 0.1\n"
@@ -667,6 +669,40 @@ class TestSubcommands:
         assert main(["run", str(cfg)]) == 0
         assert [p.name for p in tmp_path.glob("*.lp")] == \
             ["er_random_8_0.3__sgg_k1.lp"]
+
+    def test_status_lines_without_out(self, tmp_path, capsys, monkeypatch):
+        """With no `out` the rows go to stdout, so the export_lp and
+        stabilize lines go to stderr and stdout is the CSV alone, one row
+        per xi; with `out` they stay on stdout. A failing run still ends
+        in one error line."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        text = ("family = star\nn = 6\nvariant = SGG-AC\nxi = 1,2\n"
+                "analyses = optimum,stabilize,export_lp\n")
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        reader = csv.DictReader(out.splitlines())
+        assert [row["xi"] for row in reader] == ["1", "2"]
+        assert reader.fieldnames == list(CSV_COLUMNS)
+        status = ["export_lp", "stabilize", "stabilize"]
+        assert [line.split()[0] for line in err.splitlines()] == status
+        cfg.write_text(text + f"out = {tmp_path / 'o.csv'}\n")
+        assert main(["run", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert [line.split()[0] for line in out.splitlines()] == \
+            status + ["wrote"]
+        assert err == "" and len(read_rows(tmp_path / "o.csv")) == 2
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("stabilize repair loop failed to terminate")
+        monkeypatch.setattr(cli, "stabilize", fail)
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        first, *rest = err.splitlines()
+        assert out == "" and first.startswith("export_lp ")
+        assert rest == ["error: stabilize repair loop failed to terminate"]
 
     def test_preset_subcommand(self, tmp_path):
         out = tmp_path / "t4.csv"

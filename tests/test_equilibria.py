@@ -18,7 +18,7 @@ from _oracles import (ball_masks, brute_force_ne_owner_masks,
                       id_order_smallest_owner_set, is_k_independent_dominating,
                       is_nash, largest_ne_extension, listed_ne_sizes,
                       listing_dominating_owner_sets, listing_follower_claims,
-                      random_graph, reference_dynamics)
+                      random_graph, reference_dynamics, stabilized_start)
 from sharegoods import dynamics, equilibria, game, optimum
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (DynamicsResult, _trajectories,
@@ -40,22 +40,37 @@ def exact_reports(g, cfgs):
                             min_dominating_exact(g, cfgs[0].k, p=cfgs[0].p))
 
 
-def listed(cov, xi, largest=False):
-    """The masks of _dominating_owner_sets on the whole graph, from a fresh
-    count that stays within the node budget."""
+def listed(cov, xi, start=None):
+    """The masks of _dominating_owner_sets on the whole graph, all of them
+    or, from the owner set start, start and each that beats the one before
+    it, from a fresh count that stays within the node budget."""
+    mask = None if start is None else sum(1 << v for v in start)
     masks, searched = _dominating_owner_sets(cov, xi, 0, optimum.NODE_BUDGET,
-                                             largest)
+                                             mask)
     assert searched <= optimum.NODE_BUDGET
     return masks
 
 
 def side_owners(g, k, xi, search):
     """The owner set of _largest_search or _smallest_search at xi, run one
-    component at a time as exact_efficiency runs it."""
-    owners, searched = optimum._by_component(g, k,
-                                             functools.partial(search, xi))
+    component at a time from the stabilized optimum, as exact_efficiency
+    runs it."""
+    owners, searched = optimum._by_component(
+        g, k, functools.partial(search, xi), stabilized_start(g, k, xi))
     assert searched <= optimum.NODE_BUDGET
     return owners
+
+
+def small_graph(rng, trial, n=14):
+    """A random graph of up to n nodes; every third trial, a disjoint union
+    of two random graphs with isolated nodes."""
+    n1 = rng.randint(1, n)
+    g = random_graph(rng, n1, rng.random() * 0.6)
+    if trial % 3 == 0 and n1 < n:
+        n2 = rng.randint(1, n - n1)
+        g = disjoint_union(g, random_graph(rng, n2, rng.random() * 0.6),
+                           isolated=rng.randint(0, n - n1 - n2))
+    return g
 
 
 def ends(tally, row, xi):
@@ -241,7 +256,8 @@ class TestSggacEnumeration:
                     smallest, by_component = (
                         sum(1 << v for v in side_owners(g, k, xi, search))
                         for search in (_smallest_search, _largest_search))
-                    largest = listed(cov, xi, True)[-1]
+                    largest = listed(
+                        cov, xi, stabilized_start(g, k, xi))[-1]
                     for side, last, extreme in (
                             ("smallest", smallest, min(sizes)),
                             ("largest", largest, max(sizes)),
@@ -292,7 +308,7 @@ class TestSggacEnumeration:
         without a follower matching."""
         calls = self.counted_claims(monkeypatch)
         for g, k in ((ng.karate(), 1), (ng.karate(), 2), (ng.star(50), 1)):
-            listed(cover_masks(g, k), g.n, True)
+            listed(cover_masks(g, k), g.n, stabilized_start(g, k, g.n))
             side_owners(g, k, g.n, _largest_search)
             side_owners(g, k, g.n, _smallest_search)
             assert calls == [], (g.n, k)
@@ -302,8 +318,9 @@ class TestSggacEnumeration:
         the follower matching only for joins that contest an owner whose
         ball can hold xi followers."""
         calls = self.counted_claims(monkeypatch)
-        cov = cover_masks(ng.karate(), 1)
-        assert listed(cov, 5, True)[-1].bit_count() == 20
+        g = ng.karate()
+        assert listed(cover_masks(g, 1), 5,
+                      stabilized_start(g, 1, 5))[-1].bit_count() == 20
         assert 0 < len(calls) < 100, len(calls)
 
     def test_failed_claims_fail_for_every_superset(self):
@@ -463,17 +480,19 @@ class TestExactEfficiency:
         """Two disjoint copies of karate at k = 1, xi = 5: each side runs
         one component at a time, so the largest side searches 65,492 nodes,
         twice karate's 32,746 (in id order over the whole graph it took
-        6.88M), and the smallest side 72. The copies share one budget: past
-        32,746 + 1 nodes the second copy stops, and the run raises."""
+        6.88M), and the smallest side 2, one per copy, since the stabilized
+        optimum it starts from is already the smallest (72 from no owners).
+        The copies share one budget: past 32,746 + 1 nodes the second copy
+        stops, and the run raises."""
         g = disjoint_union(ng.karate(), ng.karate())
         cfgs = [GameConfig(SGG_AC, 1, xi=5)]
         opt = min_dominating_exact(g, 1)
         assert (opt.cost, opt.proven_optimal, opt.nodes_explored) == \
             (8, True, 2)
         for search, size, nodes in ((_largest_search, 40, 65_492),
-                                    (_smallest_search, 8, 72)):
+                                    (_smallest_search, 8, 2)):
             owners, searched = optimum._by_component(
-                g, 1, functools.partial(search, 5))
+                g, 1, functools.partial(search, 5), stabilized_start(g, 1, 5))
             assert (len(owners), searched) == (size, nodes)
         monkeypatch.setattr(optimum, "NODE_BUDGET", 100_000)
         report = exact_efficiency(g, cfgs, opt)[0]
@@ -488,6 +507,44 @@ class TestExactEfficiency:
         karate = ng.karate()
         assert exact_efficiency(karate, cfgs, min_dominating_exact(
             karate, 1))[0].worst_ne_cost == 20
+
+    def test_stabilized_optimum_is_an_equilibrium(self):
+        """Both sides start from the stabilized optimum, so it must be an
+        equilibrium owner set: at xi 1, 2, 3 and 5 its owners have a
+        witness profile that the definition-level Nash check accepts, and
+        at xi = n (SGG) they are k-independent and dominating."""
+        rng = random.Random(67)
+        for trial in range(60):
+            g = small_graph(rng, trial)
+            for k in (1, 2, 3):
+                for xi in (1, 2, 3, 5):
+                    s = sggac_witness_profile(g, k, xi,
+                                              stabilized_start(g, k, xi))
+                    assert s is not None and is_nash(
+                        g, GameConfig(SGG_AC, k, xi=xi), s), (g.edges, k, xi)
+                assert is_k_independent_dominating(
+                    g, k, stabilized_start(g, k, g.n)), (g.n, g.edges, k)
+
+    def test_threshold_order(self):
+        """An equilibrium owner set at xi' is one at every xi < xi', and
+        SGG's are those at the unreachable xi = n. So from xi 1 to 2, 3
+        and 5 the worst never rises and the best never falls, SGG has the
+        smallest worst and the largest best, and opt <= best. The sizes
+        are the full listing's."""
+        rng = random.Random(71)
+        for trial in range(60):
+            g = small_graph(rng, trial)
+            for k in (1, 2, 3):
+                cfgs = [GameConfig(SGG_AC, k, xi=xi)
+                        for xi in (1, 2, 3, 5)] + [GameConfig(SGG, k)]
+                reports = exact_reports(g, cfgs)
+                worst = [r.worst_ne_cost for r in reports]
+                best = [r.best_ne_cost for r in reports]
+                assert worst == sorted(worst, reverse=True), (g.edges, k)
+                assert best == sorted(best), (g.edges, k)
+                assert reports[0].opt_cost <= best[0], (g.edges, k)
+                for cfg, w, b in zip(cfgs, worst, best):
+                    assert (w, b) == listed_ne_sizes(g, cfg), (g.edges, cfg)
 
     def test_matches_listing(self):
         """The two bounded searches give the largest and the smallest
