@@ -64,12 +64,10 @@ class ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)

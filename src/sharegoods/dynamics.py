@@ -56,7 +56,6 @@ import os
 import random
 import signal
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable
 
@@ -348,16 +347,14 @@ def stabilize(g: Graph, cfg: GameConfig, opt_owners: set[int]) -> Profile:
     # connected because every node inherits its BFS parent's owner.
     adj = g.closed_neighborhoods(1)
     s = [-1] * g.n
-    dq = deque()
-    for o in sorted(opt_owners):
+    region = sorted(opt_owners)
+    for o in region:
         s[o] = o
-        dq.append(o)
-    while dq:
-        v = dq.popleft()
+    for v in region:     # breadth first: region grows as it is read
         for w in adj[v]:
             if s[w] == -1:
                 s[w] = s[v]
-                dq.append(w)
+                region.append(w)
 
     state = game.State(g, cfg, s)
     moves = (lambda bits: 0, [0, 0, 0, 0])

@@ -104,17 +104,17 @@ def _dominating_owner_sets(cov: list[int], xi: int, explored: int,
     return masks, explored
 
 
-def _largest_search(xi: int, balls, start, explored: int, budget: int):
-    """The largest side's search for optimum._by_component."""
-    masks, explored = _dominating_owner_sets(
-        optimum._ball_masks(balls), xi, explored, budget, start)
+def _largest_search(xi: int, balls, cov, start, explored: int, budget: int):
+    """The largest side's search for optimum._by_component, over cov."""
+    masks, explored = _dominating_owner_sets(cov, xi, explored, budget, start)
     return masks[-1], explored
 
 
-def _smallest_search(xi: int, balls, start, explored: int, budget: int):
-    """The smallest side's search: the optimum's B&B under _admits."""
-    return optimum._search(balls, start, explored, budget, lambda c: partial(
-        _admits, c, xi=xi, ok=_capacity(c, xi)))
+def _smallest_search(xi: int, balls, cov, start, explored: int, budget: int):
+    """The smallest side's search for optimum._by_component: the optimum's
+    B&B with _admits over cov as its join predicate admits(c, chosen)."""
+    return optimum._search(balls, cov, start, explored, budget, partial(
+        _admits, cov, xi=xi, ok=_capacity(cov, xi)))
 
 
 def _largest_bound(cov: list[int], i: int, chosen: int, count: int,

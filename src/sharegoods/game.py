@@ -93,8 +93,7 @@ def owners(cfg: GameConfig, s: Profile) -> set[int]:
 def is_in_T(g: Graph, cfg: GameConfig, s: Profile) -> bool:
     """True iff every node accesses a good (owns one or reaches an owner)."""
     if cfg.variant == SGG:
-        return is_distance_k_dominating(
-            g, cfg.k, (o for o, x in enumerate(s) if x == 1))
+        return is_distance_k_dominating(g, cfg.k, owners(cfg, s))
     # i has access iff its target s_i is an owner (s_i = i included), so
     # each distinct target needs checking only once.
     return all(s[x] == x for x in set(s))
@@ -232,12 +231,9 @@ class State:
                 flw[x] -= 1
         return -1
 
-    def is_nash(self) -> bool:
-        return self.sweep(range(len(self.s))) < 0
-
 
 def is_nash(g: Graph, cfg: GameConfig, s: Profile) -> bool:
-    return State(g, cfg, s).is_nash()
+    return State(g, cfg, s).sweep(range(g.n)) < 0
 
 
 def check_node(g: Graph, i: int) -> int:

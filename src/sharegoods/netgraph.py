@@ -197,35 +197,31 @@ def er_random(n: int, prob: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def _arm_tree(centers: int, k: int, m: int) -> Graph:
+    """Centers 0..centers-1 on a path, each with m pendant paths of k
+    nodes, numbered center after center and outwards from centers on."""
+    edges = [(c, c + 1) for c in range(centers - 1)]
+    nxt = centers
+    for center in range(centers):
+        for _ in range(m):     # the path center, nxt, ..., nxt + k - 1
+            edges += zip([center, *range(nxt, nxt + k - 1)],
+                         range(nxt, nxt + k))
+            nxt += k
+    return Graph(nxt, edges)
+
+
 def two_center_tree(k: int, m: int) -> Graph:
     """Two adjacent centers, each with m pendant paths of k nodes."""
     if k < 1 or m < 1:
         raise ConfigError("two_center_tree requires k >= 1 and m >= 1")
-    edges = [(0, 1)]
-    nxt = 2
-    for center in (0, 1):
-        for _ in range(m):
-            prev = center
-            for _ in range(k):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-    return Graph(2 + 2 * m * k, edges)
+    return _arm_tree(2, k, m)
 
 
 def center_arms_tree(k: int, m: int) -> Graph:
     """One center with m pendant paths of k nodes."""
     if k < 1 or m < 1:
         raise ConfigError("center_arms_tree requires k >= 1 and m >= 1")
-    edges = []
-    nxt = 1
-    for _ in range(m):
-        prev = 0
-        for _ in range(k):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Graph(1 + m * k, edges)
+    return _arm_tree(1, k, m)
 
 
 def karate() -> Graph:

@@ -14,9 +14,10 @@ at k = 1, er_random(100, 0.06, 1) takes 120,203 nodes in 1.5 s, and 3.3 s
 with the keys rebuilt at each search node (best of 5, CPython 3.11.7, one
 core of a shared 2-vCPU machine).
 
-_by_component runs each exact search one component at a time from a set
-it must beat: the optimum from the greedy set, and both equilibrium sides
-(equilibria.exact_efficiency) from the stabilized optimum.
+_by_component runs search(balls, cov, start, explored, budget) on each
+component's renumbered balls and ball masks from a set it must beat: the
+optimum from the greedy set, and both equilibrium sides from the stabilized
+optimum, the smallest as _search under the join predicate admits(c, chosen).
 """
 
 from __future__ import annotations
@@ -94,9 +95,10 @@ def min_dominating_greedy(g: Graph, k: int) -> set[int]:
 
 def _pack(keys: list[int], n: int, w: int, cap: int) -> tuple[int, int]:
     """The disjoint-coverer packing over the sorted keys of the uncovered
-    nodes, each (deg << n | avail) << w | (v + 1), where avail is node
-    v's available coverers and deg their count: the number of nodes
-    packed, and the available coverers of the branching node.
+    nodes (one or more: the B&B packs only while some node is uncovered),
+    each (deg << n | avail) << w | (v + 1), where avail is node v's
+    available coverers and deg their count: the number of nodes packed,
+    and the available coverers of the branching node.
 
     Sorted keys run fewest coverers first, ties by the coverer mask. A node
     with none (key below 1 << w) sorts first and gives n + 1. The branching
@@ -104,8 +106,6 @@ def _pack(keys: list[int], n: int, w: int, cap: int) -> tuple[int, int]:
     sorted tail. The packing stops once it holds cap nodes, as many as
     prune the search node, and then names no branching node (0).
     """
-    if not keys:
-        return 0, 0
     if keys[0] >> w == 0:
         return n + 1, 0
     avail_bits = ((1 << n) - 1) << w
@@ -121,15 +121,15 @@ def _pack(keys: list[int], n: int, w: int, cap: int) -> tuple[int, int]:
     return count, (pick ^ top) >> w
 
 
-def _search(balls: Sequence[Sequence[int]], incumbent: int,
-            explored: int, budget: int, admit=None) -> tuple[int, int]:
+def _search(balls: Sequence[Sequence[int]], cov: list[int], incumbent: int,
+            explored: int, budget: int, admits=None) -> tuple[int, int]:
     """Branch and bound over one connected component whose nodes are
-    0..m-1 and whose closed balls are `balls`, from the owner bitmask
-    `incumbent`: the smallest owner set found (`incumbent` if none is
-    smaller) and the search-node count carried on from `explored`, above
-    `budget` if the search stopped. admit, if given, takes the ball masks
-    and returns a test of a join of c to the owners chosen: a refused c is
-    no child, and must stay refused below, so the packing bounds the rest.
+    0..m-1, with closed balls `balls` and ball masks `cov`, from the owner
+    bitmask `incumbent`: the smallest owner set found (`incumbent` if none
+    is smaller) and the search-node count carried on from `explored`, above
+    `budget` if the search stopped. Under a join rule admits(c, chosen), a
+    c refused is no child, and must stay refused below, so the packing
+    bounds the rest.
 
     K holds the _pack key of every node uncovered at the current search
     node and 0 for a covered one. A child zeroes the keys of the nodes its
@@ -140,8 +140,6 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int,
     """
     m = len(balls)
     w = m.bit_length()
-    cov = _ball_masks(balls)
-    test = admit and admit(cov)
     K = [(c.bit_count() << m | c) << w | v + 1 for v, c in enumerate(cov)]
     best_size = incumbent.bit_count()
     # A search node: the owner count, the owners, the uncovered nodes, the
@@ -177,7 +175,7 @@ def _search(balls: Sequence[Sequence[int]], incumbent: int,
         while pick:
             c = (pick & -pick).bit_length() - 1
             pick &= pick - 1
-            if test is None or test(c, chosen):
+            if admits is None or admits(c, chosen):
                 candidates.append(c)
         if not candidates:
             continue
@@ -197,12 +195,12 @@ def _by_component(g: Graph, k: int, search,
                   start: set[int]) -> tuple[set[int], int]:
     """The owners search finds on the connected components of g from the
     owners start, and the search nodes explored, above NODE_BUDGET if it
-    stopped. Balls never cross components: search(balls, best, explored,
-    budget) gets one's closed k-balls renumbered 0..m-1 in id order (which
-    keeps every tie), start's owners there as a bitmask, and the count so
-    far, and returns an owner bitmask at least as good as best and the
-    count carried on. Components share NODE_BUDGET, read at each call;
-    past it the rest keep their start."""
+    stopped. Balls never cross components: search(balls, cov, best,
+    explored, budget) gets one's closed k-balls renumbered 0..m-1 in id
+    order (which keeps every tie), their bitmasks, start's owners there as
+    a bitmask, and the count so far, and returns an owner bitmask at least
+    as good as best and the count carried on. Components share
+    NODE_BUDGET, read at each call; past it the rest keep their start."""
     budget, explored = NODE_BUDGET, 0
     balls = g.closed_neighborhoods(k)
     owners: set[int] = set()
@@ -210,8 +208,9 @@ def _by_component(g: Graph, k: int, search,
         local = {v: i for i, v in enumerate(comp)}
         best = sum(1 << i for i, v in enumerate(comp) if v in start)
         if explored <= budget:
-            best, explored = search([[local[u] for u in balls[v]]
-                                     for v in comp], best, explored, budget)
+            comp_balls = [[local[u] for u in balls[v]] for v in comp]
+            best, explored = search(comp_balls, _ball_masks(comp_balls),
+                                    best, explored, budget)
         owners.update(comp[i] for i in _members(best))
     return owners, explored
 

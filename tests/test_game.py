@@ -339,7 +339,8 @@ class TestStateRule:
             state = State(g, cfg, list(s))
             before = (list(state.s), list(state.flw), list(state.owners_in))
             nash = _oracles.is_nash(g, cfg, s)
-            assert game.is_nash(g, cfg, s) == nash == state.is_nash()
+            assert game.is_nash(g, cfg, s) == nash == (
+                state.sweep(range(g.n)) < 0)
             assert (state.s, state.flw, state.owners_in) == before
             seen.add((kind, nash))
         assert len(seen) == 6

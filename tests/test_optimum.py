@@ -2,8 +2,9 @@ import random
 import sys
 import tracemalloc
 
-from _oracles import (ball_masks, disjoint_union, exhaustive_min_dominating,
-                      random_graph, rebuilt_min_dominating_exact,
+from _oracles import (_members, ball_masks, component_masks, disjoint_union,
+                      exhaustive_min_dominating, random_graph,
+                      rebuilt_min_dominating_exact,
                       reference_min_dominating_exact, scan_greedy_dominating)
 from sharegoods import netgraph as ng
 from sharegoods import optimum
@@ -134,6 +135,41 @@ class TestExactComponents:
         assert b.cost == 2 * a.cost
         assert b.nodes_explored == 2 * a.nodes_explored
 
+    def test_search_gets_each_component_view(self):
+        """_by_component calls search(balls, cov, start, explored, budget)
+        once per component, smallest member first: its balls and ball
+        masks renumbered 0..m-1 in id order, the start's owners there and
+        the node count so far. The masks here come from the tests' own
+        ball masks and union-find components."""
+        rng = random.Random(34)
+        for trial in range(60):
+            parts = [random_graph(rng, rng.randint(1, 7), rng.random() * 0.6)
+                     for _ in range(rng.randint(1, 3))]
+            g = disjoint_union(*parts, isolated=rng.randint(1, 3))
+            k = rng.randint(1, 3)
+            start = {v for v in range(g.n) if rng.random() < 0.4}
+            calls = []
+
+            def search(balls, cov, best, explored, budget):
+                calls.append((balls, cov, best, explored, budget))
+                return best, explored + trial + len(balls)
+
+            owners, explored = optimum._by_component(g, k, search, start)
+            whole = ball_masks(g, k)
+            comps = [_members(c) for c in component_masks(g)]
+            assert len(calls) == len(comps)
+            count = 0
+            for comp, (balls, cov, best, seen, budget) in zip(comps, calls):
+                local = {v: i for i, v in enumerate(comp)}
+                want = [sum(1 << local[u] for u in _members(whole[v]))
+                        for v in comp]
+                assert cov == want
+                assert [list(b) for b in balls] == [_members(c) for c in want]
+                assert best == sum(1 << local[v] for v in comp if v in start)
+                assert (seen, budget) == (count, optimum.NODE_BUDGET)
+                count += trial + len(comp)
+            assert (owners, explored) == (start, count)
+
     def test_budget_shared_across_components(self, monkeypatch):
         one = ng.er_random(30, 0.2, 5)
         g = disjoint_union(one, one, isolated=2)
@@ -148,7 +184,8 @@ class TestExactComponents:
 def bound_inputs():
     """Random bound inputs on graphs of up to 10 nodes, some isolated:
     (cov, covered, uncovered, forbidden), where covered[S] is the nodes
-    that the balls of the node subset S cover."""
+    that the balls of the node subset S cover. The B&B packs only while
+    some node is uncovered, so a draw with none is skipped."""
     rng = random.Random(17)
     for trial in range(40):
         g = random_graph(rng, rng.randint(1, 8), rng.random() * 0.5)
@@ -163,7 +200,8 @@ def bound_inputs():
             for _ in range(6):
                 uncovered = rng.getrandbits(n)
                 forbidden = rng.getrandbits(n) & rng.getrandbits(n)
-                yield cov, covered, uncovered, forbidden
+                if uncovered:
+                    yield cov, covered, uncovered, forbidden
 
 
 def packing(cov, uncovered, forbidden, cap):
