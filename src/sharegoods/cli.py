@@ -64,8 +64,6 @@ class ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -218,10 +216,10 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _int(key: str, value: str | None) -> int | None:
+def _int(key: str, value: str) -> int:
     """The value of key as an integer: ASCII digits after an optional '-'."""
-    if value is None or value.removeprefix("-").isdigit() and value.isascii():
-        return None if value is None else int(value)
+    if value.removeprefix("-").isdigit() and value.isascii():
+        return int(value)
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 

@@ -56,7 +56,7 @@ import os
 import random
 import signal
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable
 
 from . import game
@@ -83,7 +83,7 @@ class DynamicsResult:
     passes: int
     deviations: int
     # One [case1, case2, case3, case4] counter per executed pass.
-    case_counts: list[list[int]] = field(default_factory=list)
+    case_counts: list[list[int]]
 
 
 def draw_starts(g: Graph, cfg: GameConfig, seeds: Iterable[int],

@@ -17,7 +17,7 @@ from . import optimum
 from .dynamics import best_response_dynamics, best_response_grid, stabilize
 from .game import SGG_AC, GameConfig, check_node, owners
 from .netgraph import Graph
-from .optimum import OptResult, _members, cover_masks, min_dominating_exact
+from .optimum import OptResult, _ball_masks, _members, min_dominating_exact
 
 
 @dataclass
@@ -150,7 +150,8 @@ def _largest_bound(cov: list[int], i: int, chosen: int, count: int,
 def enumerate_ne_owner_sets_sgg(g: Graph, k: int) -> list[frozenset]:
     """All k-independent dominating sets, smallest first."""
     budget = optimum.NODE_BUDGET
-    masks, searched = _dominating_owner_sets(cover_masks(g, k), g.n, 0, budget)
+    masks, searched = _dominating_owner_sets(
+        _ball_masks(g.closed_neighborhoods(k)), g.n, 0, budget)
     if searched > budget:
         raise RuntimeError(f"the SGG listing stopped after {budget} nodes")
     return sorted((frozenset(_members(m)) for m in masks),
@@ -199,7 +200,7 @@ def sggac_witness_profile(g: Graph, k: int, xi: int,
     its lowest-id owner in range, and there must be one."""
     GameConfig(SGG_AC, k, xi=xi)    # the game's checks: k >= 1, xi >= 1
     owners = sum(1 << check_node(g, o) for o in set(owner_set))
-    cov = cover_masks(g, k)
+    cov = _ball_masks(g.closed_neighborhoods(k))
     holder = _follower_claims(cov, owners, xi)
     if holder is None:
         return None

@@ -9,10 +9,7 @@ coverers (their closed k-hop ball minus the nodes excluded on the current
 branch) are pairwise disjoint, scarcest first: each packed node needs a
 distinct new owner, so the bound prunes nothing that holds a strictly
 better set. The packing's sorted tail also names the branching node. It
-reads one key per node, kept across the search (see _pack and _search):
-at k = 1, er_random(100, 0.06, 1) takes 120,203 nodes in 1.5 s, and 3.3 s
-with the keys rebuilt at each search node (best of 5, CPython 3.11.7, one
-core of a shared 2-vCPU machine).
+reads one key per node, kept across the search (see _pack and _search).
 
 _by_component runs search(balls, cov, start, explored, budget) on each
 component's renumbered balls and ball masks from a set it must beat: the
@@ -42,11 +39,6 @@ class OptResult:
 
 def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-
-
-def cover_masks(g: Graph, k: int) -> list[int]:
-    """Closed k-hop neighbourhood of each node as a bitmask over node ids."""
-    return _ball_masks(g.closed_neighborhoods(k))
 
 
 def _ball_masks(balls: Sequence[Sequence[int]]) -> list[int]:

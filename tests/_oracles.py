@@ -34,7 +34,7 @@ from sharegoods import game, optimum
 from sharegoods.dynamics import DynamicsResult, stabilize
 from sharegoods.game import SGG, SGG_AC, GameConfig, Profile
 from sharegoods.netgraph import Graph, ParseError, connected_components
-from sharegoods.optimum import OptResult, cover_masks, min_dominating_greedy
+from sharegoods.optimum import OptResult, min_dominating_greedy
 
 # Absolute tolerance for money comparisons. Because p/a is never an integer,
 # buy-vs-rent comparisons are bounded away from ties by at least a/2.
@@ -339,7 +339,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # of uncovered nodes pairwise more than 2k apart, kept as the reference whose
 # owner sets the current bound must reproduce. Its masks, greedy seed and
 # components come from `ball_masks`, `scan_greedy_dominating` and
-# `component_masks`, the tests' own equivalents of `optimum.cover_masks`,
+# `component_masks`, the tests' own equivalents of `optimum._ball_masks`,
 # `optimum.min_dominating_greedy` and `netgraph.connected_components`.
 
 def component_masks(g: Graph) -> list[int]:
@@ -470,7 +470,7 @@ def rebuilt_disjoint_cover_bound(cov: list[int], uncovered: int,
 
 def rebuilt_min_dominating_exact(g: Graph, k: int,
                                  p: float = 1.0) -> OptResult:
-    cov = cover_masks(g, k)
+    cov = ball_masks(g, k)
     greedy = sum(1 << v for v in min_dominating_greedy(g, k))
     explored = 0
     owners = 0

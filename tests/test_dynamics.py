@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from _oracles import (disjoint_union, is_nash, random_graph, reference_dynamics,
-                      reference_stabilize)
+from _oracles import (disjoint_union, is_k_independent_dominating, is_nash,
+                      random_graph, reference_dynamics, reference_stabilize)
 from sharegoods import game
 from sharegoods import netgraph as ng
 from sharegoods.dynamics import (best_response_dynamics, derive_seed,
@@ -96,6 +96,24 @@ class TestBestResponseDynamics:
             assert result == reference_dynamics(g, cfg, seed), (trial, cfg)
             seen.add((kind, k))
         assert len(seen) == 9
+
+    def test_sgg_ends_after_one_pass(self):
+        """From the all-zero start a node buys only when no owner is in
+        its k-ball, so no owner ever has another in range: the first pass
+        ends at a k-independent dominating set, bought in case 1 alone."""
+        rng = random.Random(67)
+        for trial in range(150):
+            g = random_graph(rng, rng.randint(1, 40), rng.random() * 0.3)
+            if trial % 3 == 0:
+                g = disjoint_union(g, isolated=rng.randint(1, 3))
+            for k in (1, 2, 3):
+                for seed in range(5):
+                    cfg = GameConfig(SGG, k)
+                    result = best_response_dynamics(g, cfg, seed)
+                    owners = game.owners(cfg, result.profile)
+                    assert result.passes == 1, (g.edges, k, seed)
+                    assert result.case_counts == [[len(owners), 0, 0, 0]]
+                    assert is_k_independent_dominating(g, k, owners)
 
     def test_case_counters_recorded(self):
         g = ng.karate()

@@ -31,7 +31,7 @@ from sharegoods.equilibria import (_dominating_owner_sets, _follower_claims,
                                    sggac_witness_profile)
 from sharegoods.cli import main
 from sharegoods.game import SGG, SGG_AC, GameConfig
-from sharegoods.optimum import OptResult, cover_masks, min_dominating_exact
+from sharegoods.optimum import OptResult, min_dominating_exact
 
 
 def exact_reports(g, cfgs):
@@ -224,7 +224,7 @@ class TestSggacEnumeration:
                                random_graph(rng, n2, rng.random() * 0.7),
                                isolated=rng.randint(0, 8 - n1 - n2))
             for k in (1, 2, 3):
-                cov = cover_masks(g, k)
+                cov = ball_masks(g, k)
                 for xi in (1, 2, 3, 4):
                     cfg = GameConfig(SGG_AC, k, xi=xi)
                     expected = brute_force_sggac_ne_owner_sets(g, cfg)
@@ -247,7 +247,7 @@ class TestSggacEnumeration:
             g = disjoint_union(random_graph(rng, n1, rng.random() * 0.7),
                                isolated=rng.randint(0, 12 - n1))
             for k in (1, 2):
-                cov = cover_masks(g, k)
+                cov = ball_masks(g, k)
                 sgg = listing_dominating_owner_sets(
                     cov, lambda i, chosen: cov[i] & chosen == 1 << i)
                 sizes = [m.bit_count() for m in sgg]
@@ -308,7 +308,7 @@ class TestSggacEnumeration:
         without a follower matching."""
         calls = self.counted_claims(monkeypatch)
         for g, k in ((ng.karate(), 1), (ng.karate(), 2), (ng.star(50), 1)):
-            listed(cover_masks(g, k), g.n, stabilized_start(g, k, g.n))
+            listed(ball_masks(g, k), g.n, stabilized_start(g, k, g.n))
             side_owners(g, k, g.n, _largest_search)
             side_owners(g, k, g.n, _smallest_search)
             assert calls == [], (g.n, k)
@@ -319,7 +319,7 @@ class TestSggacEnumeration:
         ball can hold xi followers."""
         calls = self.counted_claims(monkeypatch)
         g = ng.karate()
-        assert listed(cover_masks(g, 1), 5,
+        assert listed(ball_masks(g, 1), 5,
                       stabilized_start(g, 1, 5))[-1].bit_count() == 20
         assert 0 < len(calls) < 100, len(calls)
 
@@ -337,7 +337,7 @@ class TestSggacEnumeration:
                                isolated=rng.randint(0, 8 - n1 - n2))
             full = (1 << g.n) - 1
             for k in (1, 2, 3):
-                cov = cover_masks(g, k)
+                cov = ball_masks(g, k)
                 for xi in (1, 2, 3, 4):
                     fails = [_follower_claims(cov, m, xi) is None
                              for m in range(full + 1)]
