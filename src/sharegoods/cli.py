@@ -251,11 +251,12 @@ def _build_graph_from_keys(values: dict) -> tuple[str, Graph]:
 
 # The config keys of the graph; each family flag stores into its key.
 GRAPH_KEYS = ("edge_list", "family", *netgraph.PARAMS)
+CONFIG_KEYS = (*GRAPH_KEYS,
+               *"variant k b p a xi runs seed analyses out".split())
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    unknown = set(values).difference(
-        GRAPH_KEYS, "variant k b p a xi runs seed analyses out".split())
+    unknown = set(values).difference(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     dataset, g = _build_graph_from_keys(values)
@@ -306,7 +307,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--runs")
     p_run.add_argument("--xi")
     p_run.add_argument("--a")
-    p_run.add_argument("--variant", choices=(SGG, SGG_AC))
     p_run.add_argument("--out")
 
     p_preset = sub.add_parser("preset", help="run a built-in table preset")
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             values = parse_config_file(args.config)
-            for key in ("seed", "runs", "xi", "a", "variant", "out"):
+            for key in ("seed", "runs", "xi", "a", "out"):
                 override = getattr(args, key)
                 if override is not None:
                     values[key] = override

@@ -31,7 +31,6 @@ class EfficiencyReport:
 
 @dataclass
 class CostStats:
-    runs: int
     mean_cost: float
     std_cost: float
     min_cost: float
@@ -280,7 +279,6 @@ def empirical_cost_stats(rows) -> list[list[CostStats]]:
             cost = [cfg.p * count for count, _, m in group for _ in range(m)]
             passes = [p for _, p, m in group for _ in range(m)]
             stats[-1].append(CostStats(
-                runs=runs,
                 mean_cost=statistics.fmean(cost),
                 std_cost=statistics.stdev(cost) if runs > 1 else 0.0,
                 min_cost=min(cost),

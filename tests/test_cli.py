@@ -1,5 +1,7 @@
 import csv
 import functools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -703,6 +705,25 @@ class TestSubcommands:
         first, *rest = err.splitlines()
         assert out == "" and first.startswith("export_lp ")
         assert rest == ["error: stabilize repair loop failed to terminate"]
+
+    @pytest.mark.parametrize("command", ["run", "preset", "optimum",
+                                         "export-lp"])
+    def test_flags_documented(self, command, capsys):
+        """Every flag a subcommand's help prints, other than --help, and
+        every config key appear in README's CLI section, so that no option
+        goes undocumented."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## CLI\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert "--help" in flags and len(flags) > 1
+        for flag in flags - {"--help"}:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", section), flag
+        for key in cli.CONFIG_KEYS:
+            assert f"`{key}`" in section, key
 
     def test_preset_subcommand(self, tmp_path):
         out = tmp_path / "t4.csv"

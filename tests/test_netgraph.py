@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -168,6 +169,16 @@ class TestLoadEdgeList:
         assert len(table) == g.n
         assert kept1 < 50_000
         assert kept2 < 1_600_000
+
+    def test_balls_beyond_the_diameter(self):
+        """A k far past the diameter is valid: every ball is then the whole
+        component. Each source's BFS stops at its eccentricity; run to depth
+        k, chain(50) at k = 10**6 would take 5e7 empty steps."""
+        g = ng.chain(50)
+        start = time.perf_counter()
+        balls = g.closed_neighborhoods(10**6)
+        assert time.perf_counter() - start < 1.0
+        assert [list(ball) for ball in balls] == [list(range(50))] * 50
 
 
 class TestGenerators:
